@@ -23,9 +23,10 @@ import json
 import math
 import sys
 from concurrent.futures import ProcessPoolExecutor
+from functools import partial
 
-from .errors import KerrSteadyError
-from .exact_linear import correlation_linear, exact_drive_point
+from .errors import InvalidParams, KerrSteadyError
+from .exact_linear import _check_moment_orders, correlation_linear, exact_drive_point
 from .exact_twophoton import (
     correlation_twophoton,
     scan_point,
@@ -34,7 +35,7 @@ from .exact_twophoton import (
 )
 from .keldysh_ops import build_generalized_hamiltonian_clq, steady_residual
 from .lindblad_oracle import adaptive_cutoff
-from .meanfield import classify_stability, photon_number_branches
+from .meanfield import drive_point_branches
 from .model import ModelParams, params_from_dict
 
 _PARAM_FLAGS = (
@@ -146,18 +147,6 @@ def _fmt_complex(z: complex) -> str:
     return f"{z.real:.17g}{z.imag:+.17g}j"
 
 
-def _json_params(params: ModelParams) -> dict:
-    return {
-        "delta_c": params.delta_c,
-        "chi": params.chi,
-        "omega": params.omega,
-        "gamma": params.gamma,
-        "lambda_re": params.lambda_2ph.real,
-        "lambda_im": params.lambda_2ph.imag,
-        "kappa": params.kappa,
-    }
-
-
 def _write_table(out, meta: dict, header: list[str], rows: list[list]) -> None:
     out.write("# " + json.dumps(meta, sort_keys=True) + "\n")
     out.write(",".join(header) + "\n")
@@ -173,6 +162,16 @@ def _emit(args, write_body) -> None:
             write_body(fh)
 
 
+def _moment_orders(l, k, where: str) -> tuple[int, int]:
+    """Moment orders from flags or a manifest; bad ones are a usage error."""
+    try:
+        l, k = int(l), int(k)
+        _check_moment_orders(l, k)
+    except (TypeError, ValueError, InvalidParams) as exc:
+        raise _UsageError(f"{where}: {exc}") from None
+    return l, k
+
+
 def _map_grid(task, items: list, workers: int) -> list:
     if workers <= 1 or len(items) <= 1:
         return [task(item) for item in items]
@@ -181,45 +180,23 @@ def _map_grid(task, items: list, workers: int) -> list:
         return list(pool.map(task, items, chunksize=chunk))
 
 
-def _meanfield_task(item) -> list[list]:
-    params, omega = item
-    at_om = params.replace(omega=omega)
-    rows = []
-    for idx, branch in enumerate(photon_number_branches(at_om)):
-        branch = classify_stability(branch, at_om)
-        rows.append(
-            [omega, idx, branch.n, branch.a0.real, branch.a0.imag,
-             bool(branch.stable), branch.degenerate]
-        )
-    return rows
-
-
-def _exact_task(item) -> tuple:
-    params, omega, l, k = item
-    row = exact_drive_point(params, omega)
-    extra = None
-    if (l, k) != (1, 1):
-        extra = correlation_linear(params.replace(omega=omega), l, k).value
-    return row, extra
-
-
-def _scan_task(item) -> tuple[float, float]:
-    params, delta_c = item
-    return scan_point(params, delta_c)
-
-
 def _cmd_meanfield_sweep(args) -> int:
     params, anchor = _resolve_params(args, ("delta_c", "chi", "gamma"), inject={"omega": 0.0})
     grid = _grid(args.omega_from, args.omega_to, args.omega_step, "omega")
-    items = [(params, g * anchor) for g in grid]
-    per_point = _map_grid(_meanfield_task, items, args.workers)
+    omegas = [g * anchor for g in grid]
+    per_point = _map_grid(partial(drive_point_branches, params), omegas, args.workers)
     meta = {
         "command": "meanfield-sweep",
         "grid": {"from": args.omega_from, "to": args.omega_to, "step": args.omega_step,
                  "unit": args.unit or "absolute"},
-        "params": _json_params(params),
+        "params": params.to_dict(),
     }
-    rows = [row for chunk in per_point for row in chunk]
+    rows = [
+        [omega, idx, branch.n, branch.a0.real, branch.a0.imag,
+         bool(branch.stable), branch.degenerate]
+        for omega, branches in zip(omegas, per_point)
+        for idx, branch in enumerate(branches)
+    ]
     _emit(args, lambda out: _write_table(
         out, meta,
         ["omega", "branch_index", "n", "re_a0", "im_a0", "stable", "degenerate"],
@@ -229,28 +206,25 @@ def _cmd_meanfield_sweep(args) -> int:
 
 
 def _cmd_exact_sweep(args) -> int:
-    if args.l < 0 or args.k < 0:
-        raise _UsageError("moment orders --l and --k must be >= 0")
+    l, k = _moment_orders(args.l, args.k, "--l/--k")
     params, anchor = _resolve_params(args, ("delta_c", "chi", "gamma"), inject={"omega": 0.0})
     grid = _grid(args.omega_from, args.omega_to, args.omega_step, "omega")
-    items = [(params, g * anchor, args.l, args.k) for g in grid]
-    results = _map_grid(_exact_task, items, args.workers)
-    custom = (args.l, args.k) != (1, 1)
+    omegas = [g * anchor for g in grid]
+    points = _map_grid(partial(exact_drive_point, params), omegas, args.workers)
     header = ["omega", "n_exact", "re_a", "im_a", "g2"]
-    if custom:
+    rows = [[p.omega, p.n, p.amplitude.real, p.amplitude.imag, p.g2] for p in points]
+    if (l, k) != (1, 1):
         header += ["value_re", "value_im"]
-    rows = []
-    for point, extra in results:
-        row = [point.omega, point.n, point.amplitude.real, point.amplitude.imag, point.g2]
-        if custom:
-            row += [extra.real, extra.imag]
-        rows.append(row)
+        at_points = [params.replace(omega=p.omega) for p in points]
+        extras = _map_grid(partial(correlation_linear, l=l, k=k), at_points, args.workers)
+        for row, extra in zip(rows, extras):
+            row += [extra.value.real, extra.value.imag]
     meta = {
         "command": "exact-sweep",
         "grid": {"from": args.omega_from, "to": args.omega_to, "step": args.omega_step,
                  "unit": args.unit or "absolute"},
-        "moment": {"l": args.l, "k": args.k},
-        "params": _json_params(params),
+        "moment": {"l": l, "k": k},
+        "params": params.to_dict(),
     }
     _emit(args, lambda out: _write_table(out, meta, header, rows))
     return 0
@@ -265,8 +239,7 @@ def _cmd_resonance_scan(args) -> int:
     if params.chi == 0.0:
         raise _UsageError("resonance-scan needs a nonzero --chi")
     grid = _grid(args.delta_from, args.delta_to, args.delta_step, "detuning")
-    items = [(params, g * anchor) for g in grid]
-    pairs = _map_grid(_scan_task, items, args.workers)
+    pairs = _map_grid(partial(scan_point, params), [g * anchor for g in grid], args.workers)
     peaks = set(strict_local_maxima([n for n, _ in pairs]))
     rows = [
         [(g * anchor) / params.chi, n, g2, i in peaks]
@@ -276,7 +249,7 @@ def _cmd_resonance_scan(args) -> int:
         "command": "resonance-scan",
         "grid": {"from": args.delta_from, "to": args.delta_to, "step": args.delta_step,
                  "unit": args.unit or "absolute"},
-        "params": _json_params(params),
+        "params": params.to_dict(),
     }
     _emit(args, lambda out: _write_table(
         out, meta, ["delta_c_over_chi", "n_exact", "g2", "is_peak"], rows
@@ -314,8 +287,7 @@ def _cmd_validate(args) -> int:
         if not isinstance(case, dict) or "params" not in case:
             raise _UsageError(f"case {idx} must be an object with a 'params' entry")
         params = params_from_dict(case["params"])
-        l = int(case.get("l", 1))
-        k = int(case.get("k", 1))
+        l, k = _moment_orders(case.get("l", 1), case.get("k", 1), f"case {idx}")
         point_id = str(case.get("id", idx))
         if params.is_two_photon:
             exact = correlation_twophoton(params, l, k).value

@@ -18,6 +18,7 @@ direct amplitude sum, and the two must agree before a value is released.
 from __future__ import annotations
 
 import math
+from collections.abc import Callable
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -31,9 +32,8 @@ from .errors import (
     UnsupportedModel,
 )
 from .model import LinearDerived, ModelParams, derive_linear
-from .specfun import hyp0f2, hyp0f2_ratio, pochhammer
+from .specfun import _POLE_GUARD, hyp0f2, hyp0f2_ratio, pochhammer
 
-_POLE_GUARD = 1e-12
 _TAIL_RUN = 3
 _NORM_XCHECK_TOL = 1e-8
 _MOMENT_XCHECK_TOL = 1e-9
@@ -52,9 +52,11 @@ class SteadyWavefunction:
     Fock index `truncation`.  norm_constant is the squared sum of the
     unnormalized recursion output, which doubles as the hypergeometric
     normalization value.  tail_mass is the normalized weight of the
-    highest kept level, an upper-bound proxy for the discarded weight
-    since the weights decay faster than geometrically once the stopping
-    rule fires.
+    highest kept level only.  It is not a bound on the discarded weight:
+    the weights can dip and rise again (for the coherent drive when
+    Re x < 0, towards the multiphoton resonance index 1 - Re x), and the
+    stopping rule can fire in the valley between the two humps with most
+    of the weight still above it.
     """
 
     amplitudes: np.ndarray
@@ -85,9 +87,45 @@ class CorrelationResult:
 
 def _tail_rule_fired(weights: list[float], total: float, tail_tol: float) -> bool:
     """True when the trailing run of squared amplitudes is negligible."""
-    if len(weights) < _TAIL_RUN + 1:
+    # the newest weight is tested first: it rules out almost every level
+    if weights[-1] > tail_tol * total or len(weights) < _TAIL_RUN + 1:
         return False
     return all(w <= tail_tol * total for w in weights[-_TAIL_RUN:])
+
+
+def _ladder(
+    step: Callable[[int, list[complex]], complex],
+    tail_tol: float,
+    max_truncation: int,
+    truncation: int | None,
+) -> tuple[list[complex], bool]:
+    """Climb the Fock ladder from beta_0 = 1 with beta_m = step(m, betas).
+
+    Every amplitude route runs through this one loop; a route supplies
+    only its step, which sees the amplitudes so far and raises on its own
+    pole or overflow.  Adaptively (truncation None) the climb stops when
+    the tail rule fires and raises NonConvergence past max_truncation;
+    with a fixed truncation it computes exactly that many levels and
+    reports whether the rule held there.  The stopping rule lives here
+    and nowhere else, so a proven tail bound from the term ratio replaces
+    the run rule in this one place.
+    """
+    betas = [complex(1.0)]
+    weights = [1.0]
+    total = 1.0
+    limit = max_truncation if truncation is None else truncation
+    for m in range(1, limit + 1):
+        betas.append(step(m, betas))
+        w = abs(betas[-1]) ** 2
+        weights.append(w)
+        total += w
+        if truncation is None and _tail_rule_fired(weights, total, tail_tol):
+            return betas, True
+    if truncation is None:
+        raise NonConvergence(
+            f"amplitude tail not negligible by Fock index {max_truncation}"
+        )
+    return betas, _tail_rule_fired(weights, total, tail_tol)
 
 
 def _raw_amplitudes(
@@ -98,33 +136,65 @@ def _raw_amplitudes(
 ) -> tuple[list[complex], bool]:
     """Run the recursion; return unnormalized amplitudes and convergence."""
     eps, x = derived.epsilon, derived.x
-    betas = [complex(1.0)]
-    weights = [1.0]
-    total = 1.0
-    limit = max_truncation if truncation is None else truncation
-    converged = False
-    m = 0
-    while m < limit:
-        m += 1
+
+    def step(m: int, betas: list[complex]) -> complex:
         denom = x + (m - 1)
         if abs(denom) < _POLE_GUARD * max(1.0, abs(x) + m):
             raise DenominatorPole(
                 f"amplitude recursion denominator x + {m - 1} vanishes at x={x!r}"
             )
-        betas.append(betas[-1] * math.sqrt(2.0 / m) * eps / denom)
-        w = abs(betas[-1]) ** 2
-        weights.append(w)
-        total += w
-        if truncation is None and _tail_rule_fired(weights, total, tail_tol):
-            converged = True
-            break
-    if truncation is not None:
-        converged = _tail_rule_fired(weights, total, tail_tol)
-    if truncation is None and not converged:
-        raise NonConvergence(
-            f"amplitude tail not negligible by Fock index {max_truncation}"
+        return betas[-1] * math.sqrt(2.0 / m) * eps / denom
+
+    return _ladder(step, tail_tol, max_truncation, truncation)
+
+
+def _package(
+    params: ModelParams, betas: list[complex], converged: bool
+) -> SteadyWavefunction:
+    """Normalize a ladder's output into a SteadyWavefunction."""
+    amps = np.asarray(betas, dtype=complex)
+    norm = float(np.sum(np.abs(amps) ** 2))
+    return SteadyWavefunction(
+        amplitudes=amps / math.sqrt(norm),
+        truncation=len(betas) - 1,
+        norm_constant=norm,
+        tail_mass=float(abs(amps[-1]) ** 2 / norm),
+        converged=converged,
+        params=params,
+    )
+
+
+def _check_moment_orders(l: int, k: int) -> None:
+    """Refuse moment orders outside [0, _MAX_MOMENT_ORDER]."""
+    if not (0 <= l <= _MAX_MOMENT_ORDER and 0 <= k <= _MAX_MOMENT_ORDER):
+        raise InvalidParams(
+            f"moment orders must lie in [0, {_MAX_MOMENT_ORDER}], got l={l}, k={k}"
         )
-    return betas, converged
+
+
+def _release_moment(
+    value: complex, check: complex, l: int, k: int, truncation: int, routes: tuple[str, str]
+) -> CorrelationResult:
+    """Release a moment only if its two routes agree; raise otherwise."""
+    gap = abs(value - check)
+    if gap > _MOMENT_XCHECK_TOL * max(abs(value), abs(check)) + 1e-14:
+        raise CrossCheckFailure(
+            f"moment l={l}, k={k} disagrees between {routes[0]} route "
+            f"{value!r} and {routes[1]} route {check!r}"
+        )
+    return CorrelationResult(
+        value=value, l=l, k=k, crosscheck_gap=gap, truncation=truncation
+    )
+
+
+def _real_photon_number(result: CorrelationResult) -> float:
+    """The real part of <a^dag a>, refusing a non-negligible imaginary part."""
+    value = result.value
+    if abs(value.imag) > 1e-9 * max(1.0, abs(value.real)):
+        raise InvariantViolation(
+            f"photon number acquired an imaginary part: {value!r}"
+        )
+    return value.real
 
 
 def wavefunction_linear(
@@ -154,10 +224,8 @@ def wavefunction_linear(
             "two-photon pump or loss present; use the two-photon solver"
         )
     derived = derive_linear(params)
-    betas, converged = _raw_amplitudes(derived, tail_tol, max_truncation, truncation)
-
-    amps = np.asarray(betas, dtype=complex)
-    norm_series = float(np.sum(np.abs(amps) ** 2))
+    wf = _package(params, *_raw_amplitudes(derived, tail_tol, max_truncation, truncation))
+    norm_series = wf.norm_constant
     w = 2.0 * abs(derived.epsilon) ** 2
     norm_hyper = hyp0f2(derived.x.conjugate(), derived.x, w).value
     if abs(norm_hyper.imag) > _NORM_XCHECK_TOL * abs(norm_hyper) or not math.isclose(
@@ -167,14 +235,7 @@ def wavefunction_linear(
             "normalization mismatch between amplitude sum "
             f"{norm_series!r} and hypergeometric value {norm_hyper!r}"
         )
-    return SteadyWavefunction(
-        amplitudes=amps / math.sqrt(norm_series),
-        truncation=len(betas) - 1,
-        norm_constant=norm_series,
-        tail_mass=float(abs(amps[-1]) ** 2 / norm_series),
-        converged=converged,
-        params=params,
-    )
+    return wf
 
 
 def amplitude_moment(wavefunction: SteadyWavefunction, l: int, k: int) -> complex:
@@ -183,10 +244,7 @@ def amplitude_moment(wavefunction: SteadyWavefunction, l: int, k: int) -> comple
     The sum sqrt((m+l)! (m+k)!) / m! over conj(c_{m+l}) c_{m+k}
     overcounts each operator order by sqrt(2), hence the rescaling.
     """
-    if l < 0 or k < 0 or l > _MAX_MOMENT_ORDER or k > _MAX_MOMENT_ORDER:
-        raise InvalidParams(
-            f"moment orders must lie in [0, {_MAX_MOMENT_ORDER}], got l={l}, k={k}"
-        )
+    _check_moment_orders(l, k)
     c = wavefunction.amplitudes
     top = len(c) - 1 - max(l, k)
     acc = complex(0.0)
@@ -206,10 +264,7 @@ def correlation_linear(params: ModelParams, l: int, k: int) -> CorrelationResult
     route is evaluated alongside it and a CrossCheckFailure is raised if
     the two drift apart.
     """
-    if l < 0 or k < 0 or l > _MAX_MOMENT_ORDER or k > _MAX_MOMENT_ORDER:
-        raise InvalidParams(
-            f"moment orders must lie in [0, {_MAX_MOMENT_ORDER}], got l={l}, k={k}"
-        )
+    _check_moment_orders(l, k)
     if params.is_two_photon or params.kappa != 0.0:
         raise UnsupportedModel(
             "two-photon pump or loss present; use the two-photon solver"
@@ -225,25 +280,14 @@ def correlation_linear(params: ModelParams, l: int, k: int) -> CorrelationResult
 
     wf = wavefunction_linear(params)
     check = amplitude_moment(wf, l, k)
-    gap = abs(value - check)
-    if gap > _MOMENT_XCHECK_TOL * max(abs(value), abs(check)) + 1e-14:
-        raise CrossCheckFailure(
-            f"moment l={l}, k={k} disagrees between hypergeometric route "
-            f"{value!r} and amplitude route {check!r}"
-        )
-    return CorrelationResult(
-        value=value, l=l, k=k, crosscheck_gap=gap, truncation=wf.truncation
+    return _release_moment(
+        value, check, l, k, wf.truncation, ("hypergeometric", "amplitude")
     )
 
 
 def photon_number_linear(params: ModelParams) -> float:
     """Steady-state photon number <a^dag a> for the linearly driven model."""
-    value = correlation_linear(params, 1, 1).value
-    if abs(value.imag) > 1e-9 * max(1.0, abs(value.real)):
-        raise InvariantViolation(
-            f"photon number acquired an imaginary part: {value!r}"
-        )
-    return value.real
+    return _real_photon_number(correlation_linear(params, 1, 1))
 
 
 @dataclass(frozen=True)

@@ -33,27 +33,27 @@ from .errors import (
     CrossCheckFailure,
     DenominatorPole,
     InvalidParams,
-    InvariantViolation,
     NonConvergence,
     UnsupportedModel,
 )
 from .exact_linear import (
     CorrelationResult,
     SteadyWavefunction,
-    _tail_rule_fired,
+    _check_moment_orders,
+    _ladder,
+    _package,
+    _real_photon_number,
+    _release_moment,
     amplitude_moment,
     correlation_linear,
     wavefunction_linear,
 )
 from .model import ModelParams, derive_twophoton
-from .specfun import hyp2f1_terminating
+from .specfun import _POLE_GUARD, hyp2f1_terminating
 
-_POLE_GUARD = 1e-12
 _XCHECK_MAX_INDEX = 16
 _XCHECK_AMP_FLOOR = 1e-12
 _XCHECK_TOL = 1e-9
-_MOMENT_XCHECK_TOL = 1e-9
-_MAX_MOMENT_ORDER = 16
 
 
 def _require_twophoton(params: ModelParams) -> None:
@@ -76,14 +76,7 @@ def _recursion_amplitudes(
     diag1 = 2.0 * params.chi - 1j * params.kappa
     pump = 2.0 * params.lambda_2ph
 
-    betas = [complex(1.0)]
-    weights = [1.0]
-    total = 1.0
-    limit = max_truncation if truncation is None else truncation
-    converged = False
-    m = 0
-    while m < limit:
-        m += 1
+    def step(m: int, betas: list[complex]) -> complex:
         coeff = diag0 + diag1 * (m - 1)
         if abs(coeff) < _POLE_GUARD * (abs(diag0) + abs(diag1) * m):
             raise DenominatorPole(
@@ -92,20 +85,9 @@ def _recursion_amplitudes(
         rhs = drive * betas[m - 1]
         if m >= 2:
             rhs -= pump * math.sqrt(m - 1.0) * betas[m - 2]
-        betas.append(rhs / (math.sqrt(float(m)) * coeff))
-        w = abs(betas[-1]) ** 2
-        weights.append(w)
-        total += w
-        if truncation is None and _tail_rule_fired(weights, total, tail_tol):
-            converged = True
-            break
-    if truncation is not None:
-        converged = _tail_rule_fired(weights, total, tail_tol)
-    if truncation is None and not converged:
-        raise NonConvergence(
-            f"amplitude tail not negligible by Fock index {max_truncation}"
-        )
-    return betas, converged
+        return rhs / (math.sqrt(float(m)) * coeff)
+
+    return _ladder(step, tail_tol, max_truncation, truncation)
 
 
 def _closed_form_amplitudes(
@@ -124,15 +106,10 @@ def _closed_form_amplitudes(
     """
     derived = derive_twophoton(params)
     lam, y, z = derived.lambda_disp, derived.y, derived.z
-    betas = [complex(1.0)]
-    weights = [1.0]
-    total = 1.0
     scale = complex(1.0)
-    limit = max_truncation if truncation is None else truncation
-    converged = False
-    m = 0
-    while m < limit:
-        m += 1
+
+    def step(m: int, betas: list[complex]) -> complex:
+        nonlocal scale
         scale *= -lam / math.sqrt(float(m))
         value = scale * hyp2f1_terminating(m, y, z)
         if not (math.isfinite(value.real) and math.isfinite(value.imag)):
@@ -140,20 +117,9 @@ def _closed_form_amplitudes(
                 f"polynomial value overflowed at Fock index {m}; "
                 "use wavefunction_via_three_term for this regime"
             )
-        betas.append(value)
-        w = abs(value) ** 2
-        weights.append(w)
-        total += w
-        if truncation is None and _tail_rule_fired(weights, total, tail_tol):
-            converged = True
-            break
-    if truncation is not None:
-        converged = _tail_rule_fired(weights, total, tail_tol)
-    if truncation is None and not converged:
-        raise NonConvergence(
-            f"amplitude tail not negligible by Fock index {max_truncation}"
-        )
-    return betas, converged
+        return value
+
+    return _ladder(step, tail_tol, max_truncation, truncation)
 
 
 def _spot_check_against_recursion(params: ModelParams, betas: list[complex]) -> None:
@@ -170,21 +136,6 @@ def _spot_check_against_recursion(params: ModelParams, betas: list[complex]) -> 
                 f"amplitude {m} disagrees between closed form {betas[m]!r} "
                 f"and recursion {reference[m]!r}"
             )
-
-
-def _package(
-    params: ModelParams, betas: list[complex], converged: bool
-) -> SteadyWavefunction:
-    amps = np.asarray(betas, dtype=complex)
-    norm = float(np.sum(np.abs(amps) ** 2))
-    return SteadyWavefunction(
-        amplitudes=amps / math.sqrt(norm),
-        truncation=len(betas) - 1,
-        norm_constant=norm,
-        tail_mass=float(abs(amps[-1]) ** 2 / norm),
-        converged=converged,
-        params=params,
-    )
 
 
 def wavefunction_twophoton(
@@ -243,10 +194,7 @@ def correlation_twophoton(params: ModelParams, l: int, k: int) -> CorrelationRes
     combined as sum_m F*_{m+l} F_{m+k} / m! over the norm sum_m |F_m|^2
     / m! and the 2^{-(l+k)/2} operator-scale factor.
     """
-    if l < 0 or k < 0 or l > _MAX_MOMENT_ORDER or k > _MAX_MOMENT_ORDER:
-        raise InvalidParams(
-            f"moment orders must lie in [0, {_MAX_MOMENT_ORDER}], got l={l}, k={k}"
-        )
+    _check_moment_orders(l, k)
     if params.lambda_2ph == 0 and params.kappa == 0.0:
         return correlation_linear(params, l, k)
     wf = wavefunction_twophoton(params)
@@ -260,25 +208,14 @@ def correlation_twophoton(params: ModelParams, l: int, k: int) -> CorrelationRes
         acc += seq[m + l].conjugate() * seq[m + k] * math.exp(-math.lgamma(m + 1))
     check = acc / (norm * 2.0 ** ((l + k) / 2.0))
 
-    gap = abs(value - check)
-    if gap > _MOMENT_XCHECK_TOL * max(abs(value), abs(check)) + 1e-14:
-        raise CrossCheckFailure(
-            f"moment l={l}, k={k} disagrees between amplitude route "
-            f"{value!r} and printed-form route {check!r}"
-        )
-    return CorrelationResult(
-        value=value, l=l, k=k, crosscheck_gap=gap, truncation=wf.truncation
+    return _release_moment(
+        value, check, l, k, wf.truncation, ("amplitude", "printed-form")
     )
 
 
 def photon_number_twophoton(params: ModelParams) -> float:
     """Steady-state photon number <a^dag a> for the two-photon model."""
-    value = correlation_twophoton(params, 1, 1).value
-    if abs(value.imag) > 1e-9 * max(1.0, abs(value.real)):
-        raise InvariantViolation(
-            f"photon number acquired an imaginary part: {value!r}"
-        )
-    return value.real
+    return _real_photon_number(correlation_twophoton(params, 1, 1))
 
 
 @dataclass(frozen=True)

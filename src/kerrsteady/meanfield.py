@@ -133,7 +133,8 @@ def photon_number_branches(params: ModelParams) -> list[MeanFieldBranch]:
     """All physical (n >= 0) fixed points, sorted ascending in occupation.
 
     Stability fields are left unclassified; run each branch through
-    :func:`classify_stability` or use :func:`sweep_drive` which does both.
+    :func:`classify_stability` or use :func:`drive_point_branches` which
+    does both.
 
     Raises
     ------
@@ -226,6 +227,15 @@ def classify_stability(branch: MeanFieldBranch, params: ModelParams) -> MeanFiel
     )
 
 
+def drive_point_branches(params: ModelParams, omega: float) -> list[MeanFieldBranch]:
+    """Classified branches at one drive amplitude, sorted ascending in n."""
+    om = float(omega)
+    if not math.isfinite(om) or om < 0.0:
+        raise InvalidParams(f"drive grid values must be finite and >= 0, got {om!r}")
+    at_om = params.replace(omega=om)
+    return [classify_stability(br, at_om) for br in photon_number_branches(at_om)]
+
+
 def sweep_drive(params: ModelParams, omega_grid) -> list[tuple[float, list[MeanFieldBranch]]]:
     """Branch structure across a drive grid, each branch fully classified.
 
@@ -233,17 +243,7 @@ def sweep_drive(params: ModelParams, omega_grid) -> list[tuple[float, list[MeanF
     row layout is stable regardless of how many branches coexist, which
     is what the CSV writer and the window-detection tests key on.
     """
-    rows = []
-    for om in omega_grid:
-        om = float(om)
-        if not math.isfinite(om) or om < 0.0:
-            raise InvalidParams(f"drive grid values must be finite and >= 0, got {om!r}")
-        at_om = params.replace(omega=om)
-        branches = [
-            classify_stability(br, at_om) for br in photon_number_branches(at_om)
-        ]
-        rows.append((om, branches))
-    return rows
+    return [(float(om), drive_point_branches(params, om)) for om in omega_grid]
 
 
 def bistable_window(params: ModelParams, omega_grid) -> tuple[float, float] | None:

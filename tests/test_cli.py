@@ -128,9 +128,12 @@ class TestDeterminism:
         _, second = run_to_file(tmp_path, SCAN_ARGS, "b.csv")
         assert first.read_bytes() == second.read_bytes()
 
-    def test_worker_count_does_not_change_bytes(self, tmp_path):
-        _, serial = run_to_file(tmp_path, MEANFIELD_ARGS + ["--workers", "1"], "w1.csv")
-        _, parallel = run_to_file(tmp_path, MEANFIELD_ARGS + ["--workers", "2"], "w2.csv")
+    @pytest.mark.parametrize("args", [
+        MEANFIELD_ARGS, EXACT_ARGS, EXACT_ARGS + ["--l", "2", "--k", "0"], SCAN_ARGS,
+    ], ids=["meanfield-sweep", "exact-sweep", "exact-sweep-l2-k0", "resonance-scan"])
+    def test_worker_count_does_not_change_bytes(self, tmp_path, args):
+        _, serial = run_to_file(tmp_path, args + ["--workers", "1"], "w1.csv")
+        _, parallel = run_to_file(tmp_path, args + ["--workers", "2"], "w2.csv")
         assert serial.read_bytes() == parallel.read_bytes()
 
     def test_seventeen_digit_floats_round_trip(self, tmp_path):
@@ -194,6 +197,24 @@ class TestUsageErrors:
         assert main(["validate", "--manifest", str(manifest)]) == 2
         capsys.readouterr()
 
+    @pytest.mark.parametrize("order", ["-1", "17"])
+    def test_moment_order_flag_out_of_range(self, tmp_path, capsys, order):
+        target = tmp_path / "never.csv"
+        code = main(EXACT_ARGS + ["--l", order, "-o", str(target)])
+        assert code == 2
+        assert not target.exists()
+        assert "moment orders" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("order", ["x", None])
+    def test_bad_manifest_moment_order(self, tmp_path, capsys, order):
+        manifest = tmp_path / "cases.json"
+        manifest.write_text(json.dumps([
+            {"params": {"delta_c": 5.0, "chi": -0.25, "gamma": 1.0, "omega": 2.0},
+             "l": order},
+        ]))
+        assert main(["validate", "--manifest", str(manifest)]) == 2
+        assert "case 0" in capsys.readouterr().err
+
     def test_resonance_scan_needs_kerr_term(self, capsys):
         code = main(["resonance-scan", "--chi", "0", "--gamma", "0.1",
                      "--lambda2", "0.2", "--kappa", "0.1",
@@ -210,6 +231,16 @@ class TestDomainErrors:
         assert code == 1
         assert not target.exists()
         assert "two-photon" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("command", ["meanfield-sweep", "exact-sweep"])
+    def test_negative_drive_exits_one(self, tmp_path, capsys, command):
+        target = tmp_path / "never.csv"
+        code = main([command, "--delta-c", "5", "--chi", "-0.25", "--gamma", "1",
+                     "--omega-from", "-1", "--omega-to", "1", "--omega-step", "0.5",
+                     "-o", str(target)])
+        assert code == 1
+        assert not target.exists()
+        assert ">= 0" in capsys.readouterr().err
 
     def test_negative_rate_exits_one(self, capsys):
         code = main(["meanfield-sweep", "--delta-c", "5", "--chi", "-0.25",

@@ -21,6 +21,7 @@ from kerrsteady.exact_linear import (
     sweep_drive_exact,
     wavefunction_linear,
 )
+from kerrsteady.exact_twophoton import wavefunction_twophoton, wavefunction_via_three_term
 from kerrsteady.lindblad_oracle import adaptive_cutoff
 from kerrsteady.model import ModelParams, derive_linear
 from kerrsteady.specfun import pochhammer
@@ -70,9 +71,14 @@ class TestWavefunction:
         total = sum(abs(a) ** 2 for a in wf.amplitudes)
         assert total == pytest.approx(1.0, abs=1e-12)
 
-    def test_truncation_cap_raises(self, bistable_params):
+    @pytest.mark.parametrize("solver, point", [
+        (wavefunction_linear, "bistable_params"),
+        (wavefunction_twophoton, "twophoton_params"),
+        (wavefunction_via_three_term, "twophoton_params"),
+    ], ids=["linear", "twophoton", "three-term"])
+    def test_truncation_cap_raises(self, request, solver, point):
         with pytest.raises(NonConvergence):
-            wavefunction_linear(bistable_params, max_truncation=8)
+            solver(request.getfixturevalue(point), max_truncation=8)
 
     def test_two_photon_params_rejected(self, twophoton_params):
         with pytest.raises(UnsupportedModel):
