@@ -165,11 +165,9 @@ def _emit(args, write_body) -> None:
 def _moment_orders(l, k, where: str) -> tuple[int, int]:
     """Moment orders from flags or a manifest; bad ones are a usage error."""
     try:
-        l, k = int(l), int(k)
-        _check_moment_orders(l, k)
-    except (TypeError, ValueError, InvalidParams) as exc:
+        return _check_moment_orders(l, k)
+    except InvalidParams as exc:
         raise _UsageError(f"{where}: {exc}") from None
-    return l, k
 
 
 def _map_grid(task, items: list, workers: int) -> list:

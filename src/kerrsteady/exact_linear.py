@@ -164,12 +164,20 @@ def _package(
     )
 
 
-def _check_moment_orders(l: int, k: int) -> None:
-    """Refuse moment orders outside [0, _MAX_MOMENT_ORDER]."""
+def _check_moment_orders(l: int, k: int) -> tuple[int, int]:
+    """Moment orders as Python ints; refuse all but integers in [0, _MAX_MOMENT_ORDER].
+
+    Python and numpy integers pass; bool, float and str orders are refused
+    rather than coerced, so 1.5 or True never runs as some other moment.
+    """
+    for order in (l, k):
+        if isinstance(order, bool) or not isinstance(order, (int, np.integer)):
+            raise InvalidParams(f"moment orders must be integers, got l={l!r}, k={k!r}")
     if not (0 <= l <= _MAX_MOMENT_ORDER and 0 <= k <= _MAX_MOMENT_ORDER):
         raise InvalidParams(
             f"moment orders must lie in [0, {_MAX_MOMENT_ORDER}], got l={l}, k={k}"
         )
+    return int(l), int(k)
 
 
 def _release_moment(
@@ -244,7 +252,7 @@ def amplitude_moment(wavefunction: SteadyWavefunction, l: int, k: int) -> comple
     The sum sqrt((m+l)! (m+k)!) / m! over conj(c_{m+l}) c_{m+k}
     overcounts each operator order by sqrt(2), hence the rescaling.
     """
-    _check_moment_orders(l, k)
+    l, k = _check_moment_orders(l, k)
     c = wavefunction.amplitudes
     top = len(c) - 1 - max(l, k)
     acc = complex(0.0)
@@ -264,7 +272,7 @@ def correlation_linear(params: ModelParams, l: int, k: int) -> CorrelationResult
     route is evaluated alongside it and a CrossCheckFailure is raised if
     the two drift apart.
     """
-    _check_moment_orders(l, k)
+    l, k = _check_moment_orders(l, k)
     if params.is_two_photon or params.kappa != 0.0:
         raise UnsupportedModel(
             "two-photon pump or loss present; use the two-photon solver"

@@ -194,7 +194,7 @@ def correlation_twophoton(params: ModelParams, l: int, k: int) -> CorrelationRes
     combined as sum_m F*_{m+l} F_{m+k} / m! over the norm sum_m |F_m|^2
     / m! and the 2^{-(l+k)/2} operator-scale factor.
     """
-    _check_moment_orders(l, k)
+    l, k = _check_moment_orders(l, k)
     if params.lambda_2ph == 0 and params.kappa == 0.0:
         return correlation_linear(params, l, k)
     wf = wavefunction_twophoton(params)

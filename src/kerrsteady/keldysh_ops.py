@@ -14,6 +14,14 @@ truncation edges.  steady_residual measures exactly that.
 The two bases are built by independent transcriptions and related only
 through the explicit mixing unitary, which makes the basis-equivalence
 test a real check rather than a tautology.
+
+The generators are assembled from scipy.sparse ladder operators, term
+by term in the order of the formulas below, and densified once per
+returned matrix, so every entry equals the one a dense matmul build
+gives.  They are stored dense and row-major (a column-major copy changes
+the last digits of the residual's matrix-vector product): the 16 d^2
+bytes of OperatorMatrix.entries, d = (c+1)(q+1), are the memory bound
+(36 MB at cutoffs (300, 4)).  The mixing unitary is still a dense expm.
 """
 
 from __future__ import annotations
@@ -22,11 +30,12 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
+import scipy.sparse as sp
 from scipy.linalg import expm
 
 from .errors import BasisMismatch, CutoffTooSmall, InvalidParams
 from .exact_linear import SteadyWavefunction
-from .lindblad_oracle import fock_annihilation, hamiltonian_fock
+from .lindblad_oracle import hamiltonian_fock
 from .model import ModelParams
 
 CL_Q = "cl_q"
@@ -44,7 +53,9 @@ class OperatorMatrix:
     """Dense operator on the doubled Fock space with a basis tag.
 
     cutoffs = (first-mode cutoff, second-mode cutoff); the first tensor
-    factor is the classical (or plus) mode.
+    factor is the classical (or plus) mode.  The builders assemble the
+    operator sparse and hand over a row-major ndarray, whose 16 d^2 bytes
+    bound the memory of a doubled-space run.
     """
 
     entries: np.ndarray
@@ -71,13 +82,26 @@ def _check_cutoffs(cutoffs: tuple[int, int]) -> tuple[int, int]:
     return m1, m2
 
 
+def _annihilators(cutoffs: tuple[int, int]) -> tuple[sp.csr_matrix, sp.csr_matrix]:
+    """Sparse annihilation operators of both modes on the doubled space."""
+    m1, m2 = _check_cutoffs(cutoffs)
+
+    def ladder(m: int) -> sp.csr_matrix:
+        return sp.diags(np.sqrt(np.arange(1.0, m + 1.0)), 1, format="csr", dtype=complex)
+
+    return (
+        sp.kron(ladder(m1), sp.identity(m2 + 1, dtype=complex), format="csr"),
+        sp.kron(sp.identity(m1 + 1, dtype=complex), ladder(m2), format="csr"),
+    )
+
+
 def mode_annihilation(cutoffs: tuple[int, int], mode: int) -> np.ndarray:
     """Annihilation operator of one mode, lifted to the doubled space."""
-    m1, m2 = _check_cutoffs(cutoffs)
+    first, second = _annihilators(cutoffs)
     if mode == 0:
-        return np.kron(fock_annihilation(m1), np.eye(m2 + 1, dtype=complex))
+        return first.toarray(order="C")
     if mode == 1:
-        return np.kron(np.eye(m1 + 1, dtype=complex), fock_annihilation(m2))
+        return second.toarray(order="C")
     raise InvalidParams(f"mode must be 0 or 1, got {mode}")
 
 
@@ -102,12 +126,11 @@ def build_mode_operators(
 
 def _clq_parts(
     params: ModelParams, cutoffs: tuple[int, int]
-) -> tuple[np.ndarray, np.ndarray]:
-    acl = mode_annihilation(cutoffs, 0)
-    aq = mode_annihilation(cutoffs, 1)
+) -> tuple[sp.csr_matrix, sp.csr_matrix]:
+    acl, aq = _annihilators(cutoffs)
     acld, aqd = acl.conj().T, aq.conj().T
     ncl, nq = acld @ acl, aqd @ aq
-    eye = np.eye(acl.shape[0], dtype=complex)
+    eye = sp.identity(acl.shape[0], dtype=complex, format="csr")
 
     dc, chi, om = params.delta_c, params.chi, params.omega
     g, kap, lam = params.gamma, params.kappa, params.lambda_2ph
@@ -143,17 +166,16 @@ def hamiltonian_parts_clq(
     m1, m2 = _check_cutoffs(cutoffs)
     up, down = _clq_parts(params, (m1, m2))
     return (
-        OperatorMatrix(up, CL_Q, (m1, m2)),
-        OperatorMatrix(down, CL_Q, (m1, m2)),
+        OperatorMatrix(up.toarray(order="C"), CL_Q, (m1, m2)),
+        OperatorMatrix(down.toarray(order="C"), CL_Q, (m1, m2)),
     )
 
 
 def _pm_matrix(params: ModelParams, cutoffs: tuple[int, int]) -> np.ndarray:
     m1, m2 = cutoffs
-    hp = np.kron(hamiltonian_fock(params, m1), np.eye(m2 + 1, dtype=complex))
-    hm = np.kron(np.eye(m1 + 1, dtype=complex), hamiltonian_fock(params, m2))
-    ap = mode_annihilation(cutoffs, 0)
-    am = mode_annihilation(cutoffs, 1)
+    hp = sp.kron(hamiltonian_fock(params, m1), sp.identity(m2 + 1, dtype=complex), format="csr")
+    hm = sp.kron(sp.identity(m1 + 1, dtype=complex), hamiltonian_fock(params, m2), format="csr")
+    ap, am = _annihilators(cutoffs)
     apd, amd = ap.conj().T, am.conj().T
 
     g, kap = params.gamma, params.kappa
@@ -167,7 +189,7 @@ def _pm_matrix(params: ModelParams, cutoffs: tuple[int, int]) -> np.ndarray:
         total = total + 1j * kap * (ap @ ap @ amd @ amd) - 0.5j * kap * (
             apd @ apd @ ap @ ap + amd @ amd @ am @ am
         )
-    return total
+    return total.toarray(order="C")
 
 
 def build_generalized_hamiltonian_clq(
@@ -176,7 +198,7 @@ def build_generalized_hamiltonian_clq(
     """Full doubled-space generator in the classical/quantum basis."""
     m1, m2 = _check_cutoffs(cutoffs)
     up, down = _clq_parts(params, (m1, m2))
-    return OperatorMatrix(up + down, CL_Q, (m1, m2))
+    return OperatorMatrix((up + down).toarray(order="C"), CL_Q, (m1, m2))
 
 
 def build_generalized_hamiltonian_pm(
@@ -230,17 +252,19 @@ def q_grade_blocks(op: OperatorMatrix) -> dict[int, float]:
 
     Key d collects entries connecting quantum-mode level j to level
     j + d.  A purely raising operator puts all its weight at d = +1.
+    This is the check that the raising part of the cl_q generator moves
+    the quantum level by exactly +1 and the other part never raises it,
+    the split the steady-state certificate rests on.
     """
     m1, m2 = op.cutoffs
     q_index = np.tile(np.arange(m2 + 1), m1 + 1)
-    out: dict[int, float] = {}
-    rows, cols = np.nonzero(np.abs(op.entries) > 0.0)
-    for r, c in zip(rows, cols):
-        d = int(q_index[r] - q_index[c])
-        mag = abs(op.entries[r, c])
-        if mag > out.get(d, 0.0):
-            out[d] = mag
-    return out
+    # hypot, not np.abs: np.abs over an array can round the last bit
+    # differently from abs() of a single entry.
+    mags = np.hypot(op.entries.real, op.entries.imag)
+    rows, cols = np.nonzero(mags > 0.0)
+    shifts = q_index[rows] - q_index[cols]
+    peaks = mags[rows, cols]
+    return {int(d): peaks[shifts == d].max() for d in np.unique(shifts)}
 
 
 def embed_wavefunction(

@@ -10,11 +10,12 @@ import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from kerrsteady.cli import main
 from kerrsteady.keldysh_ops import build_generalized_hamiltonian_clq, steady_residual
-from kerrsteady.exact_twophoton import wavefunction_twophoton
+from kerrsteady.exact_twophoton import wavefunction_twophoton, wavefunction_via_three_term
 from kerrsteady.model import params_from_dict
 
 from conftest import DATA_DIR
@@ -84,6 +85,19 @@ class TestHappyPaths:
         assert payload["residual_norm"] == want.residual_norm
         assert payload["edge_norm"] == want.edge_norm
         assert payload["residual_norm"] <= 1e-8
+
+    def test_residual_reaches_deep_state(self, tmp_path):
+        # The deep family at omega=16 peaks near m = 138, so its
+        # certificate needs a classical cutoff in the hundreds.
+        args = ["residual", "--delta-c", "5", "--chi", "-0.05", "--gamma", "1",
+                "--omega", "16", "--cutoff-cl", "300", "--cutoff-q", "4", "--interior", "290"]
+        code, target = run_to_file(tmp_path, args, "report.json")
+        assert code == 0
+        payload = json.loads(target.read_text())
+        assert payload["cutoffs"] == [300, 4]
+        params = params_from_dict({"delta_c": 5.0, "chi": -0.05, "gamma": 1.0, "omega": 16.0})
+        psi = wavefunction_via_three_term(params, truncation=300)
+        assert payload["residual_norm"] <= 1e-8 * float(np.linalg.norm(psi.amplitudes))
 
     def test_validate_manifest_passes(self, tmp_path):
         manifest = tmp_path / "cases.json"
@@ -205,7 +219,7 @@ class TestUsageErrors:
         assert not target.exists()
         assert "moment orders" in capsys.readouterr().err
 
-    @pytest.mark.parametrize("order", ["x", None])
+    @pytest.mark.parametrize("order", ["x", None, 1.5, True])
     def test_bad_manifest_moment_order(self, tmp_path, capsys, order):
         manifest = tmp_path / "cases.json"
         manifest.write_text(json.dumps([

@@ -8,6 +8,7 @@ inequalities any physical state must satisfy.
 import cmath
 import math
 
+import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
@@ -125,6 +126,15 @@ class TestCorrelation:
     def test_moment_order_cap(self, bistable_params):
         with pytest.raises(InvalidParams):
             correlation_linear(bistable_params, 17, 0)
+
+    @pytest.mark.parametrize("order", [1.5, True, "2"])
+    def test_non_integer_moment_order_refused(self, bistable_params, order):
+        with pytest.raises(InvalidParams, match="integers"):
+            correlation_linear(bistable_params, order, 1)
+
+    def test_numpy_integer_moment_orders_accepted(self, bistable_params):
+        got = correlation_linear(bistable_params, np.int64(2), np.int32(1))
+        assert got.value == correlation_linear(bistable_params, 2, 1).value
 
     def test_matches_oracle_across_observables(self, bistable_params):
         for l, k in ((1, 1), (2, 2), (1, 0), (2, 0)):

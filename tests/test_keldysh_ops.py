@@ -32,7 +32,7 @@ from kerrsteady.keldysh_ops import (
 from kerrsteady.lindblad_oracle import steady_state_at
 from kerrsteady.model import ModelParams, params_from_dict
 
-from conftest import total_photon_mask
+from conftest import DATA_DIR, as_complex, total_photon_mask
 
 
 class TestModeOperators:
@@ -83,6 +83,31 @@ class TestGeneratorStructure:
         scale = np.max(np.abs(want))
         assert np.max(np.abs(built.entries - want)) <= 1e-12 * scale
 
+    @pytest.mark.parametrize(
+        "basis,builder",
+        [("cl_q", build_generalized_hamiltonian_clq),
+         ("plus_minus", build_generalized_hamiltonian_pm)],
+    )
+    def test_frozen_twophoton_generators(self, basis, builder):
+        """Both builders, entry for entry, where the kappa and lambda terms act.
+
+        golden_generators_twophoton_5x3.json was written with the dense
+        np.kron builders that preceded the sparse assembly: at
+        params_from_dict(data["params"]) (the two-photon reference point
+        with lambda_im = -0.07) and cutoffs (5, 3), each generator's
+        entries went out as [[[z.real, z.imag] for z in row] for row in
+        entries] under the keys "cl_q" and "plus_minus", via json.dump,
+        whose repr floats round-trip exactly.
+        """
+        with open(DATA_DIR / "golden_generators_twophoton_5x3.json") as fh:
+            data = json.load(fh)
+        want = np.array([[as_complex(c) for c in row] for row in data[basis]])
+        built = builder(params_from_dict(data["params"]), tuple(data["cutoffs"]))
+        assert np.array_equal(built.entries, want)
+        # Row-major storage keeps the residual's matvec, and so its
+        # printed digits, the same as with the dense builders.
+        assert built.entries.flags["C_CONTIGUOUS"]
+
     def test_parts_sum_to_full_generator(self, bistable_params):
         up, down = hamiltonian_parts_clq(bistable_params, (8, 3))
         full = build_generalized_hamiltonian_clq(bistable_params, (8, 3))
@@ -92,6 +117,16 @@ class TestGeneratorStructure:
         up, down = hamiltonian_parts_clq(twophoton_params, (10, 4))
         assert set(q_grade_blocks(up)) == {1}
         assert set(q_grade_blocks(down)) <= {-1, 0}
+
+    def test_q_grade_blocks_of_ladders(self):
+        aq = OperatorMatrix(mode_annihilation((6, 3), 1), "cl_q", (6, 3))
+        aqd = OperatorMatrix(aq.entries.conj().T, "cl_q", (6, 3))
+        acl = OperatorMatrix(mode_annihilation((6, 3), 0), "cl_q", (6, 3))
+        assert q_grade_blocks(aq) == {-1: np.sqrt(3.0)}
+        assert q_grade_blocks(aqd) == {1: np.sqrt(3.0)}
+        assert q_grade_blocks(acl) == {0: np.sqrt(6.0)}
+        zero = OperatorMatrix(np.zeros((28, 28), dtype=complex), "cl_q", (6, 3))
+        assert q_grade_blocks(zero) == {}
 
     def test_down_part_kills_quantum_vacuum(self, bistable_params):
         _, down = hamiltonian_parts_clq(bistable_params, (60, 4))
