@@ -25,6 +25,7 @@ import numpy as np
 
 from .errors import (
     CrossCheckFailure,
+    CutoffTooSmall,
     DenominatorPole,
     InvalidParams,
     InvariantViolation,
@@ -226,6 +227,14 @@ def wavefunction_linear(
         Compute exactly this many levels instead of stopping adaptively.
         Useful when a fixed-size vector is needed downstream; `converged`
         then reports whether the tail rule held at that size.
+
+    Raises
+    ------
+    CutoffTooSmall
+        If a fixed truncation ends before the tail rule holds and the
+        amplitude sum therefore misses the hypergeometric normalization.
+    CrossCheckFailure
+        If the two normalizations disagree in any other case.
     """
     if params.is_two_photon or params.kappa != 0.0:
         raise UnsupportedModel(
@@ -239,6 +248,13 @@ def wavefunction_linear(
     if abs(norm_hyper.imag) > _NORM_XCHECK_TOL * abs(norm_hyper) or not math.isclose(
         norm_series, norm_hyper.real, rel_tol=_NORM_XCHECK_TOL
     ):
+        if truncation is not None and not wf.converged:
+            raise CutoffTooSmall(
+                f"truncation {truncation} is too small for this state: its "
+                f"amplitudes have not died out there, and their squared sum "
+                f"{norm_series!r} misses the hypergeometric normalization "
+                f"{norm_hyper!r}"
+            )
         raise CrossCheckFailure(
             "normalization mismatch between amplitude sum "
             f"{norm_series!r} and hypergeometric value {norm_hyper!r}"

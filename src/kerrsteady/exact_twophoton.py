@@ -192,7 +192,10 @@ def correlation_twophoton(params: ModelParams, l: int, k: int) -> CorrelationRes
     The cross route recomputes it through the printed arrangement: the
     unnormalized sequence F_m = beta_m sqrt(m!) from the recursion,
     combined as sum_m F*_{m+l} F_{m+k} / m! over the norm sum_m |F_m|^2
-    / m! and the 2^{-(l+k)/2} operator-scale factor.
+    / m! and the 2^{-(l+k)/2} operator-scale factor.  That arrangement
+    carries sqrt(m!) unscaled, so a deep state can push it out of the
+    double range (from Fock index 217 at the strong-pump point); it then
+    raises NonConvergence naming the index.
     """
     l, k = _check_moment_orders(l, k)
     if params.lambda_2ph == 0 and params.kappa == 0.0:
@@ -201,8 +204,18 @@ def correlation_twophoton(params: ModelParams, l: int, k: int) -> CorrelationRes
     value = amplitude_moment(wf, l, k)
 
     betas, _ = _recursion_amplitudes(params, 0.0, wf.truncation, wf.truncation)
-    seq = [b * math.exp(0.5 * math.lgamma(m + 1)) for m, b in enumerate(betas)]
-    norm = sum(abs(f) ** 2 * math.exp(-math.lgamma(m + 1)) for m, f in enumerate(seq))
+    seq, weights = [], []
+    for m, b in enumerate(betas):
+        try:
+            f = b * math.exp(0.5 * math.lgamma(m + 1))
+            weights.append(abs(f) ** 2 * math.exp(-math.lgamma(m + 1)))
+        except OverflowError:
+            raise NonConvergence(
+                f"printed-form route overflows the double range at Fock index {m} "
+                f"(truncation {wf.truncation})"
+            ) from None
+        seq.append(f)
+    norm = sum(weights)
     acc = complex(0.0)
     for m in range(len(seq) - max(l, k)):
         acc += seq[m + l].conjugate() * seq[m + k] * math.exp(-math.lgamma(m + 1))

@@ -120,7 +120,7 @@ def pochhammer(x: complex, m: int) -> complex:
     The direct product stays exact at negative integer x where a
     gamma-function quotient would hit poles; (x)_0 = 1 identically.
     """
-    if not isinstance(m, int) or m < 0:
+    if isinstance(m, bool) or not isinstance(m, int) or m < 0:
         raise InvalidParams(f"pochhammer order must be a nonnegative integer, got {m!r}")
     x = _check_finite("x", x)
     acc = 1.0 + 0j
@@ -240,75 +240,133 @@ def hyp0f2_ratio(
     return num / den
 
 
-# Compensated double-double kernel for the terminating Gauss sum.  Values
-# are (hi, lo) pairs with |lo| <= ulp(hi)/2, giving about 32 significant
-# digits; complex quantities carry one pair per component.  Plain Kahan
-# compensation of the running sum is not enough here because the terms
-# themselves, formed in doubles, carry O(eps * |term|) rounding while the
-# absolute-term mass grows like 3^m: by m = 30 that wipes out the result.
-# Forming the terms with error-free transformations pushes the wall to
-# m ~ 65, far past every order the solvers request.
+# Compensated double-double kernel for the terminating Gauss sum.  A value
+# is an unevaluated sum hi + lo with |lo| <= ulp(hi)/2, about 32
+# significant digits; a complex value carries one such pair per component.
+# Plain Kahan compensation of the running sum is not enough here because
+# the terms themselves, formed in doubles, carry O(eps * |term|) rounding
+# while the absolute-term mass grows like 3^m: by m = 30 that wipes out the
+# result.  Forming the terms with Dekker's error-free transformations
+# (two-sum, and two-product through the Veltkamp split) pushes the wall to
+# m ~ 65 in the worst case y = z.
+#
+# The arithmetic is written out on plain floats, because in CPython a call
+# and a tuple per pairwise operation cost more than the floating-point work
+# itself: the loop of hyp2f1_terminating keeps the running term and total
+# in eight locals and calls only the two helpers below, a complex multiply
+# and a division of a complex value by a real one; the shifted parameters,
+# |z+j|^2 and the running sum are formed inline.  Every operation of the
+# textbook pairwise formulas is kept in its order, products by an exact
+# zero included, because those decide signed zeros and NaN propagation.
+# The only work saved is recomputing a value from the same inputs: each
+# operand is split once however often it is multiplied, and the square of
+# Im z is formed once per call.
 
 _SPLITTER = 134217729.0  # 2**27 + 1, Veltkamp splitting constant
 
 
-def _two_sum(a: float, b: float) -> tuple[float, float]:
-    s = a + b
-    bb = s - a
-    return s, (a - (s - bb)) + (b - bb)
+def _cdd_mul(ar, arl, ai, ail, br, brl, bi, bil):
+    """Complex double-double product as four floats (re hi, re lo, im hi, im lo).
+
+    The factors are (ar + arl) + i (ai + ail) and (br + brl) + i (bi + bil).
+    Each component is the double-double sum of two double-double products;
+    the real part's second product takes the left factor's imaginary part
+    negated, and that negated operand gets its own split.
+    """
+    c = _SPLITTER * ar
+    arh = c - (c - ar)
+    art = ar - arh
+    c = _SPLITTER * ai
+    aih = c - (c - ai)
+    ait = ai - aih
+    nai = -ai
+    c = _SPLITTER * nai
+    naih = c - (c - nai)
+    nait = nai - naih
+    c = _SPLITTER * br
+    brh = c - (c - br)
+    brt = br - brh
+    c = _SPLITTER * bi
+    bih = c - (c - bi)
+    bit = bi - bih
+
+    # real part: (a_re * b_re) + (-a_im * b_im)
+    p = ar * br
+    e = (((arh * brh - p) + arh * brt) + art * brh) + art * brt
+    e = e + (ar * brl + arl * br)
+    h1 = p + e
+    bb = h1 - p
+    l1 = (p - (h1 - bb)) + (e - bb)
+    p = nai * bi
+    e = (((naih * bih - p) + naih * bit) + nait * bih) + nait * bit
+    e = e + (nai * bil + (-ail) * bi)
+    h2 = p + e
+    bb = h2 - p
+    l2 = (p - (h2 - bb)) + (e - bb)
+    s = h1 + h2
+    bb = s - h1
+    e = (h1 - (s - bb)) + (h2 - bb)
+    e = e + (l1 + l2)
+    rh = s + e
+    bb = rh - s
+    rl = (s - (rh - bb)) + (e - bb)
+
+    # imaginary part: (a_re * b_im) + (a_im * b_re)
+    p = ar * bi
+    e = (((arh * bih - p) + arh * bit) + art * bih) + art * bit
+    e = e + (ar * bil + arl * bi)
+    h1 = p + e
+    bb = h1 - p
+    l1 = (p - (h1 - bb)) + (e - bb)
+    p = ai * br
+    e = (((aih * brh - p) + aih * brt) + ait * brh) + ait * brt
+    e = e + (ai * brl + ail * br)
+    h2 = p + e
+    bb = h2 - p
+    l2 = (p - (h2 - bb)) + (e - bb)
+    s = h1 + h2
+    bb = s - h1
+    e = (h1 - (s - bb)) + (h2 - bb)
+    e = e + (l1 + l2)
+    ih = s + e
+    bb = ih - s
+    il = (s - (ih - bb)) + (e - bb)
+    return rh, rl, ih, il
 
 
-def _two_prod(a: float, b: float) -> tuple[float, float]:
-    p = a * b
-    ca = _SPLITTER * a
-    ah = ca - (ca - a)
-    al = a - ah
-    cb = _SPLITTER * b
-    bh = cb - (cb - b)
-    bl = b - bh
-    return p, ((ah * bh - p) + ah * bl + al * bh) + al * bl
+def _cdd_div_dd(xr, xrl, xi, xil, d, dl):
+    """(xr + xrl) + i (xi + xil) divided by the real double-double d + dl.
 
+    Each component takes one long-division step: the double quotient q0,
+    its remainder formed with a two-product, and a correction quotient
+    folded in with a two-sum.  The divisor is split once for both.
+    """
+    c = _SPLITTER * d
+    dh = c - (c - d)
+    dt = d - dh
 
-def _dd_add(x: tuple[float, float], y: tuple[float, float]) -> tuple[float, float]:
-    s, e = _two_sum(x[0], y[0])
-    e += x[1] + y[1]
-    hi, lo = _two_sum(s, e)
-    return hi, lo
+    q0 = xr / d
+    c = _SPLITTER * q0
+    qh = c - (c - q0)
+    qt = q0 - qh
+    p = q0 * d
+    e = (((qh * dh - p) + qh * dt) + qt * dh) + qt * dt
+    q1 = ((xr - p) + ((xrl - e) - q0 * dl)) / d
+    rh = q0 + q1
+    bb = rh - q0
+    rl = (q0 - (rh - bb)) + (q1 - bb)
 
-
-def _dd_mul(x: tuple[float, float], y: tuple[float, float]) -> tuple[float, float]:
-    p, e = _two_prod(x[0], y[0])
-    e += x[0] * y[1] + x[1] * y[0]
-    hi, lo = _two_sum(p, e)
-    return hi, lo
-
-
-def _dd_div(x: tuple[float, float], y: tuple[float, float]) -> tuple[float, float]:
-    q0 = x[0] / y[0]
-    p, e = _two_prod(q0, y[0])
-    r_hi = x[0] - p
-    r_lo = x[1] - e - q0 * y[1]
-    q1 = (r_hi + r_lo) / y[0]
-    hi, lo = _two_sum(q0, q1)
-    return hi, lo
-
-
-def _cdd_add(x, y):
-    return _dd_add(x[0], y[0]), _dd_add(x[1], y[1])
-
-
-def _cdd_mul(x, y):
-    re = _dd_add(_dd_mul(x[0], y[0]), _dd_mul((-x[1][0], -x[1][1]), y[1]))
-    im = _dd_add(_dd_mul(x[0], y[1]), _dd_mul(x[1], y[0]))
-    return re, im
-
-
-def _cdd_div(x, w):
-    # conjugate trick; w arrives as a complex double-double
-    conj_w = (w[0], (-w[1][0], -w[1][1]))
-    num = _cdd_mul(x, conj_w)
-    den = _dd_add(_dd_mul(w[0], w[0]), _dd_mul(w[1], w[1]))
-    return _dd_div(num[0], den), _dd_div(num[1], den)
+    q0 = xi / d
+    c = _SPLITTER * q0
+    qh = c - (c - q0)
+    qt = q0 - qh
+    p = q0 * d
+    e = (((qh * dh - p) + qh * dt) + qt * dh) + qt * dt
+    q1 = ((xi - p) + ((xil - e) - q0 * dl)) / d
+    ih = q0 + q1
+    bb = ih - q0
+    il = (q0 - (ih - bb)) + (q1 - bb)
+    return rh, rl, ih, il
 
 
 def hyp2f1_terminating(m: int, y: complex, z: complex) -> complex:
@@ -318,25 +376,44 @@ def hyp2f1_terminating(m: int, y: complex, z: complex) -> complex:
     their absolute mass reaches about 3^m while the sum stays of order one,
     so every digit of cancellation must be paid for in working precision.
     Terms and the running sum are therefore carried in compensated
-    double-double arithmetic, which holds the result to near full double
-    accuracy for every order the steady-state solvers use (m well below
-    the ~65 where even 32 digits run out in the worst case y = z).
+    double-double arithmetic.  That holds the result to near full double
+    accuracy only up to a precision wall: about m = 65 in the worst case
+    y = z, where the absolute term mass outgrows 32 digits.  The solvers
+    ask for more than that -- orders 180 to 300 at the fixed truncations
+    of the doubled-space residual, and m = 328 at the strong two-photon
+    pump point (delta = -2, chi = 0.05, lambda = 1) -- and past the wall
+    the returned value can be wrong in every digit (ROADMAP item 1).
 
     Raises
     ------
+    InvalidParams
+        If m is not a nonnegative integer (bool included).
     DenominatorPole
         If (z)_n vanishes for some n <= m (z a nonpositive integer above
         -m) or underflows below 1e-300.
     """
-    if not isinstance(m, int) or m < 0:
+    if isinstance(m, bool) or not isinstance(m, int) or m < 0:
         raise InvalidParams(f"hyp2f1_terminating order must be a nonnegative integer, got {m!r}")
     y = _check_finite("y", y)
     z = _check_finite("z", z)
+    yr, yi = y.real, y.imag
+    zr, zi = z.real, z.imag
 
-    one = (1.0, 0.0)
-    zero = (0.0, 0.0)
-    total = (one, zero)
-    term = (one, zero)
+    # running term (tr, trl, ti, til) and total (sr, srl, si, sil): hi/lo
+    # pairs for the real and imaginary parts
+    tr, trl, ti, til = 1.0, 0.0, 0.0, 0.0
+    sr, srl, si, sil = 1.0, 0.0, 0.0, 0.0
+    # (Im z)^2 as a double-double product of (zi, 0) with itself, the same
+    # for every n
+    c = _SPLITTER * zi
+    h = c - (c - zi)
+    t = zi - h
+    p = zi * zi
+    e = (((h * h - p) + h * t) + t * h) + t * t
+    e = e + (zi * 0.0 + 0.0 * zi)
+    qh = p + e
+    bb = qh - p
+    ql = (p - (qh - bb)) + (e - bb)
     poch_z = 1.0 + 0j
     for n in range(1, m + 1):
         j = float(n - 1)
@@ -345,13 +422,51 @@ def hyp2f1_terminating(m: int, y: complex, z: complex) -> complex:
             raise DenominatorPole(
                 f"hyp2f1_terminating: (z)_{n} vanished or underflowed for z={z!r}"
             )
-        # every shifted parameter enters as an exact double-double so the
-        # term recurrence never touches ordinary rounding
-        yj = (_two_sum(y.real, j), (y.imag, 0.0))
-        zj = (_two_sum(z.real, j), (z.imag, 0.0))
-        term = _cdd_mul(term, ((float(2 * (n - 1 - m)), 0.0), zero))
-        term = (_dd_div(term[0], (float(n), 0.0)), _dd_div(term[1], (float(n), 0.0)))
-        term = _cdd_mul(term, yj)
-        term = _cdd_div(term, zj)
-        total = _cdd_add(total, term)
-    return complex(total[0][0] + total[0][1], total[1][0] + total[1][1])
+        # every shifted parameter enters as an exact double-double (a
+        # two-sum) so the term recurrence never touches ordinary rounding
+        yh = yr + j
+        bb = yh - yr
+        yl = (yr - (yh - bb)) + (j - bb)
+        zh = zr + j
+        bb = zh - zr
+        zl = (zr - (zh - bb)) + (j - bb)
+
+        # term *= 2(n-1-m) / n * (y+j) * conj(z+j) / |z+j|^2
+        tr, trl, ti, til = _cdd_mul(tr, trl, ti, til, float(2 * (n - 1 - m)), 0.0, 0.0, 0.0)
+        tr, trl, ti, til = _cdd_div_dd(tr, trl, ti, til, float(n), 0.0)
+        tr, trl, ti, til = _cdd_mul(tr, trl, ti, til, yh, yl, yi, 0.0)
+        tr, trl, ti, til = _cdd_mul(tr, trl, ti, til, zh, zl, -zi, -0.0)
+        c = _SPLITTER * zh
+        h = c - (c - zh)
+        t = zh - h
+        p = zh * zh
+        e = (((h * h - p) + h * t) + t * h) + t * t
+        e = e + (zh * zl + zl * zh)
+        dh = p + e
+        bb = dh - p
+        dl = (p - (dh - bb)) + (e - bb)
+        s = dh + qh
+        bb = s - dh
+        e = (dh - (s - bb)) + (qh - bb)
+        e = e + (dl + ql)
+        dh = s + e
+        bb = dh - s
+        dl = (s - (dh - bb)) + (e - bb)
+        tr, trl, ti, til = _cdd_div_dd(tr, trl, ti, til, dh, dl)
+
+        # total += term, one double-double add per component
+        s = sr + tr
+        bb = s - sr
+        e = (sr - (s - bb)) + (tr - bb)
+        e = e + (srl + trl)
+        sr = s + e
+        bb = sr - s
+        srl = (s - (sr - bb)) + (e - bb)
+        s = si + ti
+        bb = s - si
+        e = (si - (s - bb)) + (ti - bb)
+        e = e + (sil + til)
+        si = s + e
+        bb = si - s
+        sil = (s - (si - bb)) + (e - bb)
+    return complex(sr + srl, si + sil)

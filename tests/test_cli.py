@@ -256,6 +256,33 @@ class TestDomainErrors:
         assert not target.exists()
         assert ">= 0" in capsys.readouterr().err
 
+    def test_cutoff_below_state_exits_one(self, tmp_path, capsys):
+        target = tmp_path / "never.json"
+        code = main(["residual", "--delta-c", "5", "--chi", "-0.05", "--gamma", "1",
+                     "--omega", "16", "--cutoff-cl", "120", "--cutoff-q", "4",
+                     "--interior", "110", "-o", str(target)])
+        assert code == 1
+        assert not target.exists()
+        err = capsys.readouterr().err
+        assert err.startswith("error: truncation 120 is too small")
+
+    def test_strong_pump_validate_exits_one_without_traceback(self, tmp_path, capsys):
+        # The printed-form route of the two-photon moment carries sqrt(m!)
+        # and leaves the double range inside this point's truncation (328).
+        manifest = tmp_path / "cases.json"
+        manifest.write_text(json.dumps([
+            {"id": "strong-pump", "params": {"delta_c": -2.0, "chi": 0.05, "omega": 1.0,
+                                             "gamma": 1.0, "lambda_re": 1.0,
+                                             "kappa": 0.02}},
+        ]))
+        target = tmp_path / "never.csv"
+        code = main(["validate", "--manifest", str(manifest), "-o", str(target)])
+        assert code == 1
+        assert not target.exists()
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "Fock index" in err
+        assert "Traceback" not in err
+
     def test_negative_rate_exits_one(self, capsys):
         code = main(["meanfield-sweep", "--delta-c", "5", "--chi", "-0.25",
                      "--gamma", "-1", "--omega-from", "0", "--omega-to", "1",

@@ -13,7 +13,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from kerrsteady.errors import InvalidParams, NonConvergence, UnsupportedModel
+from kerrsteady.errors import CutoffTooSmall, InvalidParams, NonConvergence, UnsupportedModel
 from kerrsteady.exact_linear import (
     amplitude_moment,
     correlation_linear,
@@ -71,6 +71,14 @@ class TestWavefunction:
         assert len(wf.amplitudes) == 81
         total = sum(abs(a) ** 2 for a in wf.amplitudes)
         assert total == pytest.approx(1.0, abs=1e-12)
+
+    def test_fixed_truncation_below_support_is_cutoff_too_small(self):
+        # The deep state at omega=16 peaks near m = 138, so 120 levels miss
+        # most of its weight: a cutoff fault, not a disagreement of routes.
+        deep = ModelParams(delta_c=5.0, chi=-0.05, omega=16.0, gamma=1.0)
+        with pytest.raises(CutoffTooSmall, match="truncation 120"):
+            wavefunction_linear(deep, truncation=120)
+        assert wavefunction_linear(deep, truncation=300).converged
 
     @pytest.mark.parametrize("solver, point", [
         (wavefunction_linear, "bistable_params"),

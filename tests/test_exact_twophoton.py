@@ -14,7 +14,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from kerrsteady.errors import InvalidParams, UnsupportedModel
+from kerrsteady.errors import InvalidParams, NonConvergence, UnsupportedModel
 from kerrsteady.exact_linear import correlation_linear, wavefunction_linear
 from kerrsteady.exact_twophoton import (
     correlation_twophoton,
@@ -153,6 +153,14 @@ class TestCorrelations:
     def test_moment_order_cap(self, twophoton_params):
         with pytest.raises(InvalidParams):
             correlation_twophoton(twophoton_params, 0, 17)
+
+    def test_printed_form_overflow_is_nonconvergence(self):
+        # strong pump: the truncation reaches 328, past where the printed
+        # form's F_m = beta_m sqrt(m!) and its squared weight stay finite
+        strong = ModelParams(delta_c=-2.0, chi=0.05, omega=1.0, gamma=1.0,
+                             lambda_2ph=1.0, kappa=0.02)
+        with pytest.raises(NonConvergence, match="Fock index"):
+            correlation_twophoton(strong, 1, 1)
 
     @given(p=twophoton_sampled, l=st.integers(0, 3), k=st.integers(0, 3))
     def test_hermiticity(self, p, l, k):

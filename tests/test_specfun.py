@@ -6,13 +6,14 @@ complex arithmetic, independent of the library code paths.
 """
 
 import cmath
+import json
 import math
 
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from kerrsteady.errors import DenominatorPole, InvalidParams, PoleError
+from kerrsteady.errors import DenominatorPole, InvalidParams, KerrSteadyError, PoleError
 from kerrsteady.specfun import (
     hyp0f2,
     hyp0f2_ratio,
@@ -21,7 +22,7 @@ from kerrsteady.specfun import (
     pochhammer,
 )
 
-from conftest import as_complex
+from conftest import DATA_DIR, as_complex
 
 TWO_PI = 2.0 * math.pi
 
@@ -138,9 +139,11 @@ class TestPochhammer:
         right = pochhammer(x, m) * (x + m)
         assert left == pytest.approx(right, rel=1e-12, abs=1e-280)
 
-    def test_rejects_negative_order(self):
+    @pytest.mark.parametrize("order", [-1, True, False])
+    def test_rejects_bad_order(self, order):
+        # bool is an int subclass; True must not run as order 1
         with pytest.raises(InvalidParams):
-            pochhammer(1.0, -1)
+            pochhammer(1.0, order)
 
 
 class TestHyp0F2:
@@ -244,6 +247,43 @@ class TestHyp2F1Terminating:
         with pytest.raises(DenominatorPole):
             hyp2f1_terminating(5, 1.0 + 1j, -2.0)
 
-    def test_rejects_negative_order(self):
+    def test_frozen_gauss_sums_bitwise(self):
+        """Every frozen value bit for bit, refusals by exception class.
+
+        golden_gauss_sums.json was written with the kernel built from
+        separate _two_sum/_two_prod/_dd_*/_cdd_* helpers that preceded the
+        straight-line one.  For each case it holds y and z, an order range
+        m_from..m_to, and per order either [float.hex(v.real),
+        float.hex(v.imag)] of hyp2f1_terminating(m, y, z) or the class name
+        of the KerrSteadyError it raised; json.dumps wrote one case per
+        line.  The cases: m = 0..70 at the (y, z) of the resonance-scan
+        family (chi = 1, gamma = 0.1, lambda = 0.2, kappa = 0.1, omega 0.1
+        and 0, delta/chi = -4.5, -4.0, ..., 0.5 plus four seeded uniform
+        draws from that range); y = z; real y and z, some with -0.0
+        imaginary parts, which pin the sign of the zero imaginary part of
+        the result; z 1e-9 from the pole at -3; z = -2, which refuses with
+        DenominatorPole from m = 3; twelve seeded random (y, z); the
+        strong-pump point (delta=-2, chi=0.05, omega=1, gamma=1, lambda=1,
+        kappa=0.02) for m = 0..328; and y = z at m = 640..650, where the
+        value overflows to nan.
+        """
+        with open(DATA_DIR / "golden_gauss_sums.json") as fh:
+            cases = json.load(fh)["cases"]
+        mismatches = []
+        for case in cases:
+            y = complex(*map(float.fromhex, case["y"]))
+            z = complex(*map(float.fromhex, case["z"]))
+            for m, want in zip(range(case["m_from"], case["m_to"] + 1), case["values"]):
+                try:
+                    value = hyp2f1_terminating(m, y, z)
+                    got = [float.hex(value.real), float.hex(value.imag)]
+                except KerrSteadyError as exc:
+                    got = type(exc).__name__
+                if got != want:
+                    mismatches.append((case["label"], m, got, want))
+        assert not mismatches, mismatches[:5]
+
+    @pytest.mark.parametrize("order", [-1, True, False])
+    def test_rejects_bad_order(self, order):
         with pytest.raises(InvalidParams):
-            hyp2f1_terminating(-1, 1.0, 1.0)
+            hyp2f1_terminating(order, 1.0, 1.0)
