@@ -116,6 +116,10 @@ def _resolve_params(
         return params_from_dict(d), 1.0
     unit = args.unit
     anchor = given.pop(unit, 1.0)
+    if not 0.0 < anchor < math.inf:
+        raise _UsageError(
+            f"--unit {unit}: the unit must be positive and finite, got --{unit} {anchor}"
+        )
     d: dict = {"unit": unit, unit: anchor}
     for name, value in given.items():
         d[f"{name}_over_{unit}"] = value

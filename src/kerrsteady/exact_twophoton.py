@@ -14,7 +14,7 @@ three-term recursion,
 
 with beta_0 = 1, exposed as a separate operation so the two routes can
 be compared elementwise.  Every production call additionally verifies
-its low-lying amplitudes against the recursion before releasing values.
+all its amplitudes against the recursion before releasing values.
 
 Moments come from amplitude sums; there is no compact ratio form as in
 the linear model, so each moment is recomputed through the printed
@@ -51,7 +51,8 @@ from .exact_linear import (
 from .model import ModelParams, derive_twophoton
 from .specfun import _POLE_GUARD, hyp2f1_terminating
 
-_XCHECK_MAX_INDEX = 16
+# the cross-check covers the whole amplitude support: up to the truncation cap
+_XCHECK_MAX_INDEX = 4096
 _XCHECK_AMP_FLOOR = 1e-12
 _XCHECK_TOL = 1e-9
 
@@ -123,7 +124,11 @@ def _closed_form_amplitudes(
 
 
 def _spot_check_against_recursion(params: ModelParams, betas: list[complex]) -> None:
-    """Compare low-lying closed-form output against the recursion route."""
+    """Compare every closed-form amplitude against the recursion route.
+
+    Amplitudes below 1e-12 of the peak are skipped; the rest must agree
+    to 1e-9 relative.
+    """
     top = min(len(betas) - 1, _XCHECK_MAX_INDEX)
     reference, _ = _recursion_amplitudes(params, 0.0, top, top)
     peak = max(abs(b) for b in betas[: top + 1])
@@ -149,8 +154,8 @@ def wavefunction_twophoton(
     Falls back to the linear solver when the pump and two-photon loss are
     both absent; refuses two-photon loss without a pump, which has no
     closed form in this family.  Arguments mirror wavefunction_linear.
-    Low-lying amplitudes are checked against the three-term recursion on
-    every call.
+    Every amplitude is checked against the three-term recursion on every
+    call.
     """
     if params.lambda_2ph == 0 and params.kappa == 0.0:
         return wavefunction_linear(
@@ -192,10 +197,9 @@ def correlation_twophoton(params: ModelParams, l: int, k: int) -> CorrelationRes
     The cross route recomputes it through the printed arrangement: the
     unnormalized sequence F_m = beta_m sqrt(m!) from the recursion,
     combined as sum_m F*_{m+l} F_{m+k} / m! over the norm sum_m |F_m|^2
-    / m! and the 2^{-(l+k)/2} operator-scale factor.  That arrangement
-    carries sqrt(m!) unscaled, so a deep state can push it out of the
-    double range (from Fock index 217 at the strong-pump point); it then
-    raises NonConvergence naming the index.
+    / m! and the 2^{-(l+k)/2} operator-scale factor.  F_m is carried as
+    its phase and log magnitude, and both sums are scaled by the largest
+    norm term, so the route stays in the double range at any truncation.
     """
     l, k = _check_moment_orders(l, k)
     if params.lambda_2ph == 0 and params.kappa == 0.0:
@@ -204,21 +208,16 @@ def correlation_twophoton(params: ModelParams, l: int, k: int) -> CorrelationRes
     value = amplitude_moment(wf, l, k)
 
     betas, _ = _recursion_amplitudes(params, 0.0, wf.truncation, wf.truncation)
-    seq, weights = [], []
-    for m, b in enumerate(betas):
-        try:
-            f = b * math.exp(0.5 * math.lgamma(m + 1))
-            weights.append(abs(f) ** 2 * math.exp(-math.lgamma(m + 1)))
-        except OverflowError:
-            raise NonConvergence(
-                f"printed-form route overflows the double range at Fock index {m} "
-                f"(truncation {wf.truncation})"
-            ) from None
-        seq.append(f)
-    norm = sum(weights)
+    log_fact = [math.lgamma(m + 1) for m in range(len(betas))]
+    phase = [b / abs(b) if b else 0j for b in betas]
+    log_f = [math.log(abs(b)) + 0.5 * lf if b else -math.inf for b, lf in zip(betas, log_fact)]
+    shift = max(2.0 * lf_m - lf for lf_m, lf in zip(log_f, log_fact))
+    norm = sum(math.exp(2.0 * lf_m - lf - shift) for lf_m, lf in zip(log_f, log_fact))
     acc = complex(0.0)
-    for m in range(len(seq) - max(l, k)):
-        acc += seq[m + l].conjugate() * seq[m + k] * math.exp(-math.lgamma(m + 1))
+    for m in range(len(betas) - max(l, k)):
+        acc += phase[m + l].conjugate() * phase[m + k] * math.exp(
+            log_f[m + l] + log_f[m + k] - log_fact[m] - shift
+        )
     check = acc / (norm * 2.0 ** ((l + k) / 2.0))
 
     return _release_moment(
@@ -296,8 +295,8 @@ def scan_point(params: ModelParams, delta_c: float) -> tuple[float, float]:
     """Photon number and g2 at one detuning, from the production route.
 
     Moments here are bulk-evaluated from the production wavefunction
-    (which still spot-checks its amplitudes per call); the moment-level
-    dual route lives in correlation_twophoton.
+    (which still checks every amplitude against the recursion per call);
+    the moment-level dual route lives in correlation_twophoton.
     """
     wf = wavefunction_twophoton(params.replace(delta_c=float(delta_c)))
     n = amplitude_moment(wf, 1, 1).real

@@ -22,21 +22,25 @@ gives.  They are stored dense and row-major (a column-major copy changes
 the last digits of the residual's matrix-vector product): the 16 d^2
 bytes of OperatorMatrix.entries, d = (c+1)(q+1), are the memory bound
 (36 MB at cutoffs (300, 4)).  The mixing unitary is still a dense expm.
+scipy is imported by the functions that use it, so importing this module
+loads numpy only.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import TYPE_CHECKING
 
 import numpy as np
-import scipy.sparse as sp
-from scipy.linalg import expm
 
 from .errors import BasisMismatch, CutoffTooSmall, InvalidParams
 from .exact_linear import SteadyWavefunction
 from .lindblad_oracle import hamiltonian_fock
 from .model import ModelParams
+
+if TYPE_CHECKING:
+    import scipy.sparse as sp
 
 CL_Q = "cl_q"
 PLUS_MINUS = "plus_minus"
@@ -84,6 +88,8 @@ def _check_cutoffs(cutoffs: tuple[int, int]) -> tuple[int, int]:
 
 def _annihilators(cutoffs: tuple[int, int]) -> tuple[sp.csr_matrix, sp.csr_matrix]:
     """Sparse annihilation operators of both modes on the doubled space."""
+    import scipy.sparse as sp
+
     m1, m2 = _check_cutoffs(cutoffs)
 
     def ladder(m: int) -> sp.csr_matrix:
@@ -127,6 +133,8 @@ def build_mode_operators(
 def _clq_parts(
     params: ModelParams, cutoffs: tuple[int, int]
 ) -> tuple[sp.csr_matrix, sp.csr_matrix]:
+    import scipy.sparse as sp
+
     acl, aq = _annihilators(cutoffs)
     acld, aqd = acl.conj().T, aq.conj().T
     ncl, nq = acld @ acl, aqd @ aq
@@ -172,6 +180,8 @@ def hamiltonian_parts_clq(
 
 
 def _pm_matrix(params: ModelParams, cutoffs: tuple[int, int]) -> np.ndarray:
+    import scipy.sparse as sp
+
     m1, m2 = cutoffs
     hp = sp.kron(hamiltonian_fock(params, m1), sp.identity(m2 + 1, dtype=complex), format="csr")
     hm = sp.kron(sp.identity(m1 + 1, dtype=complex), hamiltonian_fock(params, m2), format="csr")
@@ -222,6 +232,8 @@ def mixing_unitary(cutoffs: tuple[int, int]) -> np.ndarray:
     under both cutoffs; outside them the beam splitter leaks through the
     truncation.
     """
+    from scipy.linalg import expm
+
     m1, m2 = _check_cutoffs(cutoffs)
     b1 = mode_annihilation((m1, m2), 0)
     b2 = mode_annihilation((m1, m2), 1)

@@ -15,16 +15,16 @@ where a dense solve would thrash memory.
 
 Nothing in this module touches the closed-form machinery; that is the
 point.  Agreement between the two routes is the package's main evidence of
-correctness.
+correctness.  scipy is imported by the functions that use it, so importing
+this module (and the CLI's grid commands) loads numpy only.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from typing import TYPE_CHECKING
 
 import numpy as np
-import scipy.sparse as sp
-from scipy.sparse.linalg import splu
 
 from .errors import (
     CutoffTooSmall,
@@ -34,6 +34,9 @@ from .errors import (
     SingularSystem,
 )
 from .model import ModelParams
+
+if TYPE_CHECKING:
+    import scipy.sparse as sp
 
 _HERM_TOL = 1e-10
 _TRACE_TOL = 1e-10
@@ -111,6 +114,8 @@ def build_liouvillian(params: ModelParams, cutoff: int) -> Liouvillian:
     Column-major stacking, so vec(rho)[m + n*(cutoff+1)] = rho[m, n] and
     the |0><0| component sits at index 0.
     """
+    import scipy.sparse as sp
+
     d = cutoff + 1
     a = sp.csc_matrix(fock_annihilation(cutoff))
     h = sp.csc_matrix(hamiltonian_fock(params, cutoff))
@@ -131,6 +136,16 @@ def build_liouvillian(params: ModelParams, cutoff: int) -> Liouvillian:
     return Liouvillian(matrix=lmat.tocsc(), cutoff=cutoff, params=params)
 
 
+def splu(matrix: sp.csc_matrix):
+    """Sparse LU factorization of a CSC matrix (scipy.sparse.linalg.splu).
+
+    scipy is imported on the first call, not with this module.
+    """
+    from scipy.sparse.linalg import splu as factorize
+
+    return factorize(matrix)
+
+
 def steady_state(liouvillian: Liouvillian) -> DensityMatrix:
     """Solve the bordered system for the unique steady state.
 
@@ -139,6 +154,8 @@ def steady_state(liouvillian: Liouvillian) -> DensityMatrix:
     is trace-normalized by construction.  The raw solution is hermitized
     and validated before being returned.
     """
+    import scipy.sparse as sp
+
     d = liouvillian.cutoff + 1
     n2 = d * d
     trace_row = sp.csr_matrix(

@@ -163,7 +163,7 @@ def params_from_dict(raw: dict) -> ModelParams:
         {"delta_c": 5.0, "chi": -0.25, "omega": 4.0, "gamma": 1.0}
 
     Ratio keys divide by a declared anchor, either gamma or chi.  The
-    anchor's own absolute value defaults to 1::
+    anchor's own absolute value must be positive and defaults to 1::
 
         {"unit": "chi", "delta_c_over_chi": -1.0, "gamma_over_chi": 0.1,
          "kappa_over_chi": 0.1, "lambda_re_over_chi": 0.2}
@@ -180,8 +180,9 @@ def params_from_dict(raw: dict) -> ModelParams:
         raise InvalidParams(f"unit must be 'gamma' or 'chi', got {unit!r}")
 
     anchor = d.pop(unit, 1.0)
-    if not isinstance(anchor, (int, float)) or not math.isfinite(anchor) or anchor == 0:
-        raise InvalidParams(f"anchor {unit} must be finite and nonzero, got {anchor!r}")
+    # a negative anchor would flip the sign of every ratio
+    if not isinstance(anchor, (int, float)) or not 0.0 < anchor < math.inf:
+        raise InvalidParams(f"anchor {unit} must be finite and positive, got {anchor!r}")
     suffix = f"_over_{unit}"
     values = {unit: float(anchor)}
     for key, val in d.items():

@@ -10,9 +10,13 @@ entry points are
 
 The 0F2 series appears in normalization constants and correlation functions
 of the coherently driven model; the terminating 2F1 at argument 2 builds the
-displaced-frame wavefunction of the two-photon model.  Both are summed
-directly with compensated accumulation because the argument-2 Gauss sum
-cancels severely for large order m.
+displaced-frame wavefunction of the two-photon model.  The 0F2 series is
+summed directly with Kahan compensation.  The Gauss sum is not: at
+argument 2 its terms cancel like 3^m, so it is summed in plain doubles
+through well-conditioned representations of the same polynomial, the
+connection formula to argument -1 (DLMF 15.8(ii)) and the Pfaff partner,
+choosing the one of least absolute term mass.  Its error is then about
+(m+1) 2^-52 times that mass.
 """
 
 from __future__ import annotations
@@ -44,6 +48,8 @@ _SERIES_CAP = 100_000
 _CONSECUTIVE_SMALL = 5
 _UNDERFLOW_FLOOR = 1e-300
 _OVERFLOW_CEIL = 1e300
+_EPS = 2.0**-52
+_FALLBACK_TOL = 1e-13
 
 
 @dataclass
@@ -240,149 +246,78 @@ def hyp0f2_ratio(
     return num / den
 
 
-# Compensated double-double kernel for the terminating Gauss sum.  A value
-# is an unevaluated sum hi + lo with |lo| <= ulp(hi)/2, about 32
-# significant digits; a complex value carries one such pair per component.
-# Plain Kahan compensation of the running sum is not enough here because
-# the terms themselves, formed in doubles, carry O(eps * |term|) rounding
-# while the absolute-term mass grows like 3^m: by m = 30 that wipes out the
-# result.  Forming the terms with Dekker's error-free transformations
-# (two-sum, and two-product through the Veltkamp split) pushes the wall to
-# m ~ 65 in the worst case y = z.
-#
-# The arithmetic is written out on plain floats, because in CPython a call
-# and a tuple per pairwise operation cost more than the floating-point work
-# itself: the loop of hyp2f1_terminating keeps the running term and total
-# in eight locals and calls only the two helpers below, a complex multiply
-# and a division of a complex value by a real one; the shifted parameters,
-# |z+j|^2 and the running sum are formed inline.  Every operation of the
-# textbook pairwise formulas is kept in its order, products by an exact
-# zero included, because those decide signed zeros and NaN propagation.
-# The only work saved is recomputing a value from the same inputs: each
-# operand is split once however often it is multiplied, and the square of
-# Im z is formed once per call.
+def _connection_form(m: int, b: complex, zb: complex, ratio: complex) -> tuple[float, complex]:
+    """Mass and value of ratio * 2F1(-m, b; b - z - m + 1; -1).
 
-_SPLITTER = 134217729.0  # 2**27 + 1, Veltkamp splitting constant
-
-
-def _cdd_mul(ar, arl, ai, ail, br, brl, bi, bil):
-    """Complex double-double product as four floats (re hi, re lo, im hi, im lo).
-
-    The factors are (ar + arl) + i (ai + ail) and (br + brl) + i (bi + bil).
-    Each component is the double-double sum of two double-double products;
-    the real part's second product takes the left factor's imaginary part
-    negated, and that negated operand gets its own split.
+    zb is z - b and ratio is (zb)_m / (z)_m.  The lower parameter of
+    term j is formed as (1 - m + j) - zb, from the same zb as the
+    prefactor: b - z - m + 1 + j, formed from b, loses the digits of a
+    small b.  A form whose lower parameter comes within the pole guard
+    of zero is skipped: it gets infinite mass.
     """
-    c = _SPLITTER * ar
-    arh = c - (c - ar)
-    art = ar - arh
-    c = _SPLITTER * ai
-    aih = c - (c - ai)
-    ait = ai - aih
-    nai = -ai
-    c = _SPLITTER * nai
-    naih = c - (c - nai)
-    nait = nai - naih
-    c = _SPLITTER * br
-    brh = c - (c - br)
-    brt = br - brh
-    c = _SPLITTER * bi
-    bih = c - (c - bi)
-    bit = bi - bih
-
-    # real part: (a_re * b_re) + (-a_im * b_im)
-    p = ar * br
-    e = (((arh * brh - p) + arh * brt) + art * brh) + art * brt
-    e = e + (ar * brl + arl * br)
-    h1 = p + e
-    bb = h1 - p
-    l1 = (p - (h1 - bb)) + (e - bb)
-    p = nai * bi
-    e = (((naih * bih - p) + naih * bit) + nait * bih) + nait * bit
-    e = e + (nai * bil + (-ail) * bi)
-    h2 = p + e
-    bb = h2 - p
-    l2 = (p - (h2 - bb)) + (e - bb)
-    s = h1 + h2
-    bb = s - h1
-    e = (h1 - (s - bb)) + (h2 - bb)
-    e = e + (l1 + l2)
-    rh = s + e
-    bb = rh - s
-    rl = (s - (rh - bb)) + (e - bb)
-
-    # imaginary part: (a_re * b_im) + (a_im * b_re)
-    p = ar * bi
-    e = (((arh * bih - p) + arh * bit) + art * bih) + art * bit
-    e = e + (ar * bil + arl * bi)
-    h1 = p + e
-    bb = h1 - p
-    l1 = (p - (h1 - bb)) + (e - bb)
-    p = ai * br
-    e = (((aih * brh - p) + aih * brt) + ait * brh) + ait * brt
-    e = e + (ai * brl + ail * br)
-    h2 = p + e
-    bb = h2 - p
-    l2 = (p - (h2 - bb)) + (e - bb)
-    s = h1 + h2
-    bb = s - h1
-    e = (h1 - (s - bb)) + (h2 - bb)
-    e = e + (l1 + l2)
-    ih = s + e
-    bb = ih - s
-    il = (s - (ih - bb)) + (e - bb)
-    return rh, rl, ih, il
+    nearest = round(zb.real)
+    if -m < nearest <= 0 and abs(complex(zb.real - nearest, zb.imag)) < _POLE_GUARD:
+        return math.inf, 0j
+    term = total = 1.0 + 0j
+    mass = 1.0
+    for j in range(m):
+        term *= (m - j) * (b + j) / ((j + 1) * ((1 - m + j) - zb))
+        total += term
+        mass += abs(term)
+    return mass * abs(ratio), ratio * total
 
 
-def _cdd_div_dd(xr, xrl, xi, xil, d, dl):
-    """(xr + xrl) + i (xi + xil) divided by the real double-double d + dl.
+def _argument_two_form(m: int, b: complex, z: complex) -> tuple[float, complex]:
+    """Mass and value of the direct sum 2F1(-m, b; z; 2)."""
+    term = total = 1.0 + 0j
+    mass = 1.0
+    for n in range(m):
+        term *= 2 * (n - m) * (b + n) / ((n + 1) * (z + n))
+        total += term
+        mass += abs(term)
+    return mass, total
 
-    Each component takes one long-division step: the double quotient q0,
-    its remainder formed with a two-product, and a correction quotient
-    folded in with a two-sum.  The divisor is split once for both.
+
+def _least_mass(forms: list[tuple[float, complex]]) -> tuple[float, complex]:
+    """The form of smallest finite mass; forms tied on it are averaged.
+
+    With nothing finite the mass is infinite and the value nan.
     """
-    c = _SPLITTER * d
-    dh = c - (c - d)
-    dt = d - dh
-
-    q0 = xr / d
-    c = _SPLITTER * q0
-    qh = c - (c - q0)
-    qt = q0 - qh
-    p = q0 * d
-    e = (((qh * dh - p) + qh * dt) + qt * dh) + qt * dt
-    q1 = ((xr - p) + ((xrl - e) - q0 * dl)) / d
-    rh = q0 + q1
-    bb = rh - q0
-    rl = (q0 - (rh - bb)) + (q1 - bb)
-
-    q0 = xi / d
-    c = _SPLITTER * q0
-    qh = c - (c - q0)
-    qt = q0 - qh
-    p = q0 * d
-    e = (((qh * dh - p) + qh * dt) + qt * dh) + qt * dt
-    q1 = ((xi - p) + ((xil - e) - q0 * dl)) / d
-    ih = q0 + q1
-    bb = ih - q0
-    il = (q0 - (ih - bb)) + (q1 - bb)
-    return rh, rl, ih, il
+    best = min((mass for mass, _ in forms if mass < math.inf), default=math.inf)
+    tied = [value for mass, value in forms if mass == best]
+    if not tied:
+        return math.inf, complex(math.nan, math.nan)
+    return best, sum(tied[1:], tied[0]) / len(tied)
 
 
 def hyp2f1_terminating(m: int, y: complex, z: complex) -> complex:
-    """Terminating Gauss sum 2F1(-m, y; z; 2), exactly m + 1 terms.
+    """Terminating Gauss sum 2F1(-m, y; z; 2) in plain complex doubles.
 
-    At argument 2 the terms alternate in sign and grow before they shrink;
-    their absolute mass reaches about 3^m while the sum stays of order one,
-    so every digit of cancellation must be paid for in working precision.
-    Terms and the running sum are therefore carried in compensated
-    double-double arithmetic.  That holds the result to near full double
-    accuracy only up to a precision wall: about m = 65 in the worst case
-    y = z, where the absolute term mass outgrows 32 digits.  The solvers
-    ask for more than that -- orders 180 to 300 at the fixed truncations
-    of the doubled-space residual, and m = 328 at the strong two-photon
-    pump point (delta = -2, chi = 0.05, lambda = 1) -- and past the wall
-    the returned value can be wrong in every digit (ROADMAP item 1).
+    The direct sum at argument 2 is ill-conditioned: its terms alternate
+    and their absolute mass grows like 3^m while the value stays of
+    order one.  The same polynomial is therefore summed in four forms,
+    each one pass of m + 1 terms:
+
+    * the connection formula to argument -1 (DLMF 15.8(ii)),
+      C(b) = (z-b)_m / (z)_m * 2F1(-m, b; b-z-m+1; -1), at b = y;
+    * the same at the Pfaff partner b = z - y, times (-1)^m, since
+      2F1(-m, y; z; 2) = (-1)^m 2F1(-m, z-y; z; 2);
+    * the direct argument-2 sum and its Pfaff partner, likewise.
+
+    A form's mass is the sum of its terms' magnitudes times the
+    magnitude of its prefactor; in doubles its error is bounded by about
+    (m+1) * eps * mass, eps = 2^-52.  The value released is the one of
+    least mass, averaged with any form of exactly equal mass, which
+    keeps it exactly symmetric under y <-> z - y.  At y = z/2 the Pfaff
+    identity makes every odd order zero, and that exact zero is returned
+    without a sum.  The two connection forms are summed first; they are
+    well-conditioned on every family the solvers use.  Only if
+    (m+1) * eps * mass exceeds 1e-13 of the value are the argument-2
+    forms summed too.  A connection form whose lower parameter
+    b - z - m + 1 + j comes within the pole guard of zero is skipped; so
+    at y = z with z that close to one of 0, -1, ..., 1 - m both are, and
+    the Pfaff partner 2F1(-m, 0; z; 2) = 1 gives the value.  The tests hold every value within 2 (m+1) eps times the
+    least mass of the four forms of a 60-digit reference.
 
     Raises
     ------
@@ -396,77 +331,28 @@ def hyp2f1_terminating(m: int, y: complex, z: complex) -> complex:
         raise InvalidParams(f"hyp2f1_terminating order must be a nonnegative integer, got {m!r}")
     y = _check_finite("y", y)
     z = _check_finite("z", z)
-    yr, yi = y.real, y.imag
-    zr, zi = z.real, z.imag
-
-    # running term (tr, trl, ti, til) and total (sr, srl, si, sil): hi/lo
-    # pairs for the real and imaginary parts
-    tr, trl, ti, til = 1.0, 0.0, 0.0, 0.0
-    sr, srl, si, sil = 1.0, 0.0, 0.0, 0.0
-    # (Im z)^2 as a double-double product of (zi, 0) with itself, the same
-    # for every n
-    c = _SPLITTER * zi
-    h = c - (c - zi)
-    t = zi - h
-    p = zi * zi
-    e = (((h * h - p) + h * t) + t * h) + t * t
-    e = e + (zi * 0.0 + 0.0 * zi)
-    qh = p + e
-    bb = qh - p
-    ql = (p - (qh - bb)) + (e - bb)
-    poch_z = 1.0 + 0j
-    for n in range(1, m + 1):
-        j = float(n - 1)
-        poch_z *= z + (n - 1)
+    w = z - y
+    poch_z = ratio_y = ratio_w = 1.0 + 0j
+    for n in range(m):
+        zn = z + n
+        poch_z *= zn
         if abs(poch_z) < _UNDERFLOW_FLOOR:
             raise DenominatorPole(
-                f"hyp2f1_terminating: (z)_{n} vanished or underflowed for z={z!r}"
+                f"hyp2f1_terminating: (z)_{n + 1} vanished or underflowed for z={z!r}"
             )
-        # every shifted parameter enters as an exact double-double (a
-        # two-sum) so the term recurrence never touches ordinary rounding
-        yh = yr + j
-        bb = yh - yr
-        yl = (yr - (yh - bb)) + (j - bb)
-        zh = zr + j
-        bb = zh - zr
-        zl = (zr - (zh - bb)) + (j - bb)
-
-        # term *= 2(n-1-m) / n * (y+j) * conj(z+j) / |z+j|^2
-        tr, trl, ti, til = _cdd_mul(tr, trl, ti, til, float(2 * (n - 1 - m)), 0.0, 0.0, 0.0)
-        tr, trl, ti, til = _cdd_div_dd(tr, trl, ti, til, float(n), 0.0)
-        tr, trl, ti, til = _cdd_mul(tr, trl, ti, til, yh, yl, yi, 0.0)
-        tr, trl, ti, til = _cdd_mul(tr, trl, ti, til, zh, zl, -zi, -0.0)
-        c = _SPLITTER * zh
-        h = c - (c - zh)
-        t = zh - h
-        p = zh * zh
-        e = (((h * h - p) + h * t) + t * h) + t * t
-        e = e + (zh * zl + zl * zh)
-        dh = p + e
-        bb = dh - p
-        dl = (p - (dh - bb)) + (e - bb)
-        s = dh + qh
-        bb = s - dh
-        e = (dh - (s - bb)) + (qh - bb)
-        e = e + (dl + ql)
-        dh = s + e
-        bb = dh - s
-        dl = (s - (dh - bb)) + (e - bb)
-        tr, trl, ti, til = _cdd_div_dd(tr, trl, ti, til, dh, dl)
-
-        # total += term, one double-double add per component
-        s = sr + tr
-        bb = s - sr
-        e = (sr - (s - bb)) + (tr - bb)
-        e = e + (srl + trl)
-        sr = s + e
-        bb = sr - s
-        srl = (s - (sr - bb)) + (e - bb)
-        s = si + ti
-        bb = s - si
-        e = (si - (s - bb)) + (ti - bb)
-        e = e + (sil + til)
-        si = s + e
-        bb = si - s
-        sil = (s - (si - bb)) + (e - bb)
-    return complex(sr + srl, si + sil)
+        ratio_y *= (y + n) / zn
+        ratio_w *= (w + n) / zn
+    if m % 2 and w == y:
+        # the Pfaff identity makes the value equal to minus itself
+        return 0j
+    sign = -1.0 if m % 2 else 1.0
+    forms = [_connection_form(m, y, w, ratio_w)]
+    mass, value = _connection_form(m, w, y, ratio_y)
+    forms.append((mass, sign * value))
+    mass, value = _least_mass(forms)
+    if not mass * (m + 1) * _EPS <= _FALLBACK_TOL * abs(value):
+        forms.append(_argument_two_form(m, y, z))
+        mass, value = _argument_two_form(m, w, z)
+        forms.append((mass, sign * value))
+        mass, value = _least_mass(forms)
+    return value

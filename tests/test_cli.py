@@ -125,6 +125,22 @@ class TestHappyPaths:
         assert code == 1
         assert target.read_text().splitlines()[2].split(",")[-1] == "0"
 
+    def test_strong_pump_validate_passes(self, tmp_path):
+        # The closed form reaches truncation 101 here, where the direct
+        # argument-2 Gauss sum has lost every digit to cancellation.
+        manifest = tmp_path / "cases.json"
+        manifest.write_text(json.dumps([
+            {"id": "strong-pump", "params": {"delta_c": -2.0, "chi": 0.05, "omega": 1.0,
+                                             "gamma": 1.0, "lambda_re": 1.0,
+                                             "kappa": 0.02}},
+        ]))
+        target = tmp_path / "val.csv"
+        assert main(["validate", "--manifest", str(manifest), "-o", str(target)]) == 0
+        row = target.read_text().splitlines()[2].split(",")
+        assert complex(row[2]) == pytest.approx(0.76148845192, rel=1e-10)
+        assert float(row[4]) <= 1e-8
+        assert row[5:] == ["64", "1"]
+
     def test_entry_point_smoke(self, tmp_path):
         target = tmp_path / "out.csv"
         proc = subprocess.run(
@@ -134,6 +150,18 @@ class TestHappyPaths:
         )
         assert proc.returncode == 0, proc.stderr
         assert target.read_bytes() == (DATA_DIR / "golden_exact_sweep.csv").read_bytes()
+
+    def test_import_leaves_scipy_unloaded(self):
+        # the grid commands need numpy only; the oracle and the doubled
+        # space import scipy when they run
+        proc = subprocess.run(
+            [sys.executable, "-c", "import sys, kerrsteady.cli; "
+             "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"],
+            capture_output=True,
+            text=True,
+        )
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.strip() == "[]"
 
 
 class TestDeterminism:
@@ -197,6 +225,16 @@ class TestUsageErrors:
                      "--omega-from", "0", "--omega-to", "1", "--omega-step", "0.5"])
         assert code == 2
         assert "--config" in capsys.readouterr().err
+
+    def test_negative_unit_anchor_exits_two(self, tmp_path, capsys):
+        # in chi units a negative --chi would flip the sign of every ratio
+        target = tmp_path / "never.csv"
+        code = main(["exact-sweep", "--unit", "chi", "--chi", "-0.25", "--gamma", "4",
+                     "--delta-c", "-20", "--omega-from", "1", "--omega-to", "2",
+                     "--omega-step", "0.5", "-o", str(target)])
+        assert code == 2
+        assert not target.exists()
+        assert "unit must be positive" in capsys.readouterr().err
 
     def test_missing_config_file(self, tmp_path):
         code = main(["meanfield-sweep", "--config", str(tmp_path / "absent.json"),
@@ -265,23 +303,6 @@ class TestDomainErrors:
         assert not target.exists()
         err = capsys.readouterr().err
         assert err.startswith("error: truncation 120 is too small")
-
-    def test_strong_pump_validate_exits_one_without_traceback(self, tmp_path, capsys):
-        # The printed-form route of the two-photon moment carries sqrt(m!)
-        # and leaves the double range inside this point's truncation (328).
-        manifest = tmp_path / "cases.json"
-        manifest.write_text(json.dumps([
-            {"id": "strong-pump", "params": {"delta_c": -2.0, "chi": 0.05, "omega": 1.0,
-                                             "gamma": 1.0, "lambda_re": 1.0,
-                                             "kappa": 0.02}},
-        ]))
-        target = tmp_path / "never.csv"
-        code = main(["validate", "--manifest", str(manifest), "-o", str(target)])
-        assert code == 1
-        assert not target.exists()
-        err = capsys.readouterr().err
-        assert err.startswith("error: ") and "Fock index" in err
-        assert "Traceback" not in err
 
     def test_negative_rate_exits_one(self, capsys):
         code = main(["meanfield-sweep", "--delta-c", "5", "--chi", "-0.25",

@@ -14,7 +14,8 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from kerrsteady.errors import InvalidParams, NonConvergence, UnsupportedModel
+from kerrsteady import exact_twophoton
+from kerrsteady.errors import CrossCheckFailure, InvalidParams, UnsupportedModel
 from kerrsteady.exact_linear import correlation_linear, wavefunction_linear
 from kerrsteady.exact_twophoton import (
     correlation_twophoton,
@@ -95,6 +96,21 @@ class TestWavefunctionRoutes:
                     closed.amplitudes[m], rel=1e-9
                 )
 
+    def test_cross_check_covers_whole_support(self, monkeypatch):
+        # strong pump, truncation 101: one amplitude far past the low-lying
+        # ones, off by 1e-6, must stop the release
+        strong = ModelParams(delta_c=-2.0, chi=0.05, omega=1.0, gamma=1.0,
+                             lambda_2ph=1.0, kappa=0.02)
+        exact = exact_twophoton.hyp2f1_terminating
+
+        def perturbed(m, y, z):
+            value = exact(m, y, z)
+            return value * (1.0 + 1e-6) if m == 40 else value
+
+        monkeypatch.setattr(exact_twophoton, "hyp2f1_terminating", perturbed)
+        with pytest.raises(CrossCheckFailure, match="amplitude 40 "):
+            wavefunction_twophoton(strong)
+
     @given(p=twophoton_sampled)
     def test_branch_flip_leaves_amplitudes_alone(self, p):
         # The displacement scale is a square root; picking the other
@@ -154,13 +170,18 @@ class TestCorrelations:
         with pytest.raises(InvalidParams):
             correlation_twophoton(twophoton_params, 0, 17)
 
-    def test_printed_form_overflow_is_nonconvergence(self):
-        # strong pump: the truncation reaches 328, past where the printed
-        # form's F_m = beta_m sqrt(m!) and its squared weight stay finite
+    @pytest.mark.parametrize("lam, truncation, n", [(4.0, 202, 57.8814), (8.0, 310, 97.2693)],
+                             ids=["lambda4", "lambda8"])
+    def test_printed_form_releases_deep_strong_pump(self, lam, truncation, n):
+        # F_m = beta_m sqrt(m!) leaves the double range inside these
+        # truncations (at Fock index 154 and 134); the printed-form route
+        # carries it in log form, so it still checks these states.
         strong = ModelParams(delta_c=-2.0, chi=0.05, omega=1.0, gamma=1.0,
-                             lambda_2ph=1.0, kappa=0.02)
-        with pytest.raises(NonConvergence, match="Fock index"):
-            correlation_twophoton(strong, 1, 1)
+                             lambda_2ph=lam, kappa=0.02)
+        out = correlation_twophoton(strong, 1, 1)
+        assert out.truncation == truncation
+        assert out.value.real == pytest.approx(n, rel=1e-5)
+        assert out.crosscheck_gap <= 1e-12 * n
 
     @given(p=twophoton_sampled, l=st.integers(0, 3), k=st.integers(0, 3))
     def test_hermiticity(self, p, l, k):

@@ -185,6 +185,12 @@ class TestParamsFromDict:
         assert p.chi == 2.0 and p.delta_c == -2.0 and p.gamma == pytest.approx(0.2)
         assert p.lambda_2ph == pytest.approx(0.4) and p.kappa == pytest.approx(0.2)
 
+    @pytest.mark.parametrize("anchor", [-0.25, 0.0])
+    def test_ratio_mode_anchor_must_be_positive(self, anchor):
+        with pytest.raises(InvalidParams, match="positive"):
+            params_from_dict({"unit": "chi", "chi": anchor, "delta_c_over_chi": -20.0,
+                              "gamma_over_chi": 4.0})
+
     def test_unknown_key_rejected(self):
         with pytest.raises(InvalidParams):
             params_from_dict({"delta_c": 1.0, "chi": 1.0, "gamma": 1.0, "detuning": 2.0})
