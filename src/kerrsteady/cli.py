@@ -99,7 +99,9 @@ def _resolve_params(
     if args.config is not None:
         if given or args.unit is not None:
             raise _UsageError("--config cannot be combined with parameter flags")
-        raw = dict(_load_json(args.config))
+        raw = _load_json(args.config)
+        if not isinstance(raw, dict):
+            raise _UsageError(f"{args.config} must hold a JSON object of parameters")
         anchor = 1.0
         if isinstance(raw.get("unit"), str):
             anchor_value = raw.get(raw["unit"], 1.0)

@@ -20,7 +20,7 @@ class UnsupportedModel(KerrSteadyError):
 
 
 class PoleError(KerrSteadyError):
-    """Evaluation requested at (or too close to) a pole of gamma."""
+    """Evaluation requested at (or too close to) a pole; base of DenominatorPole."""
 
 
 class DenominatorPole(PoleError):

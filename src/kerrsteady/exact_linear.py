@@ -325,7 +325,7 @@ class ExactSweepRow:
 
 
 def exact_drive_point(params: ModelParams, omega: float) -> ExactSweepRow:
-    """Occupation, field, and g2 at one drive amplitude."""
+    """<a^dag a>, <a>, and g2 = <a^dag^2 a^2> / <a^dag a>^2 (nan at zero drive)."""
     om = float(omega)
     if not math.isfinite(om) or om < 0.0:
         raise InvalidParams(f"drive values must be finite and >= 0, got {om!r}")
@@ -336,12 +336,3 @@ def exact_drive_point(params: ModelParams, omega: float) -> ExactSweepRow:
     g2 = numerator / n**2 if n**2 > 0.0 else float("nan")
     return ExactSweepRow(omega=om, n=n, amplitude=amplitude, g2=g2)
 
-
-def sweep_drive_exact(params: ModelParams, omega_grid) -> list[ExactSweepRow]:
-    """Exact single-valued response across a drive grid, in grid order.
-
-    Each row carries <a^dag a>, <a>, and the equal-time second-order
-    coherence g2 = <a^dag^2 a^2> / <a^dag a>^2 (nan at zero drive, where
-    the occupation vanishes).
-    """
-    return [exact_drive_point(params, om) for om in omega_grid]

@@ -106,13 +106,13 @@ def _closed_form_amplitudes(
     ceiling.
     """
     derived = derive_twophoton(params)
-    lam, y, z = derived.lambda_disp, derived.y, derived.z
+    lam, y, z, asym = derived.lambda_disp, derived.y, derived.z, derived.asym
     scale = complex(1.0)
 
     def step(m: int, betas: list[complex]) -> complex:
         nonlocal scale
         scale *= -lam / math.sqrt(float(m))
-        value = scale * hyp2f1_terminating(m, y, z)
+        value = scale * hyp2f1_terminating(m, y, z, asym)
         if not (math.isfinite(value.real) and math.isfinite(value.imag)):
             raise NonConvergence(
                 f"polynomial value overflowed at Fock index {m}; "

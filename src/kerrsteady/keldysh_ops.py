@@ -111,25 +111,6 @@ def mode_annihilation(cutoffs: tuple[int, int], mode: int) -> np.ndarray:
     raise InvalidParams(f"mode must be 0 or 1, got {mode}")
 
 
-def build_mode_operators(
-    cutoffs: tuple[int, int], basis: str = CL_Q
-) -> dict[str, OperatorMatrix]:
-    """Annihilation operators of both modes, tagged with the basis.
-
-    The matrices are the same ladder operators either way; the tag
-    records which pair of modes the tensor factors mean.  Keys are
-    "a_cl"/"a_q" in the cl_q basis and "a_plus"/"a_minus" in plus_minus.
-    """
-    m1, m2 = _check_cutoffs(cutoffs)
-    if basis not in _BASES:
-        raise InvalidParams(f"unknown basis tag {basis!r}")
-    names = ("a_cl", "a_q") if basis == CL_Q else ("a_plus", "a_minus")
-    return {
-        names[0]: OperatorMatrix(mode_annihilation((m1, m2), 0), basis, (m1, m2)),
-        names[1]: OperatorMatrix(mode_annihilation((m1, m2), 1), basis, (m1, m2)),
-    }
-
-
 def _clq_parts(
     params: ModelParams, cutoffs: tuple[int, int]
 ) -> tuple[sp.csr_matrix, sp.csr_matrix]:
@@ -364,21 +345,3 @@ def steady_residual(
         interior_cut=int(interior_cut),
     )
 
-
-def candidate_density_matrix(
-    wavefunction: SteadyWavefunction, cl_cutoff: int, q_cutoff: int
-) -> np.ndarray:
-    """Vector components in the plus/minus basis arranged as a matrix.
-
-    Exploratory diagnostic.  The arrangement is trace-normalized when
-    possible but is not the steady density matrix in general; compare it
-    against the Lindblad solution to see how the two objects differ.
-    """
-    vec = embed_wavefunction(wavefunction, (cl_cutoff, q_cutoff))
-    w = mixing_unitary((cl_cutoff, q_cutoff))
-    vpm = w.conj().T @ vec
-    cand = vpm.reshape(cl_cutoff + 1, q_cutoff + 1)
-    tr = complex(np.trace(cand))
-    if abs(tr) > 1e-300:
-        cand = cand / tr
-    return cand

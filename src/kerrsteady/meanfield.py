@@ -29,7 +29,6 @@ from .errors import InvalidParams, InvariantViolation, UnsupportedModel
 from .model import ModelParams
 
 _DEGENERATE_REL = 1e-7
-_RESIDUAL_REL = 1e-9
 
 
 @dataclass(frozen=True)

@@ -114,14 +114,17 @@ class TwoPhotonDerived:
 
         y = (-2i sqrt(2) omega + lambda_disp (2 delta_c - i gamma))
             / (2 lambda_disp (2 chi - i kappa)),
-        z = (2 delta_c - i gamma) / (2 chi - i kappa).
+        z = (2 delta_c - i gamma) / (2 chi - i kappa),
+        asym = y - z/2 = -i sqrt(2) omega / (lambda_disp (2 chi - i kappa)).
 
-    For omega = 0, y = z / 2 exactly, which kills every odd amplitude.
+    asym is formed directly, as rounding removes a small drive from y.
+    Odd amplitudes are odd in asym, so asym = 0 at omega = 0 kills them.
     """
 
     lambda_disp: complex
     y: complex
     z: complex
+    asym: complex
 
 
 def derive_linear(params: ModelParams) -> LinearDerived:
@@ -134,7 +137,7 @@ def derive_linear(params: ModelParams) -> LinearDerived:
 
 
 def derive_twophoton(params: ModelParams) -> TwoPhotonDerived:
-    """Map physical parameters to the displaced-frame inputs (lambda_disp, y, z).
+    """Map physical parameters to the displaced-frame inputs of the closed form.
 
     Requires a nonzero two-photon drive; the pure two-photon-loss model
     (lambda_2ph = 0, kappa > 0) has no displaced closed form here and is
@@ -151,7 +154,8 @@ def derive_twophoton(params: ModelParams) -> TwoPhotonDerived:
         2.0 * disp * denom
     )
     z = (2.0 * params.delta_c - 1j * params.gamma) / denom
-    return TwoPhotonDerived(lambda_disp=disp, y=y, z=z)
+    asym = -1j * math.sqrt(2.0) * params.omega / (disp * denom)
+    return TwoPhotonDerived(lambda_disp=disp, y=y, z=z, asym=asym)
 
 
 def params_from_dict(raw: dict) -> ModelParams:
@@ -168,10 +172,14 @@ def params_from_dict(raw: dict) -> ModelParams:
         {"unit": "chi", "delta_c_over_chi": -1.0, "gamma_over_chi": 0.1,
          "kappa_over_chi": 0.1, "lambda_re_over_chi": 0.2}
 
-    Unknown keys raise InvalidParams so config typos fail loudly.
+    Unknown keys and bool values raise InvalidParams, so typos fail loudly.
     """
     if not isinstance(raw, dict):
         raise InvalidParams(f"config must be a mapping, got {type(raw).__name__}")
+    # bool is an int subclass; true must not run as 1.0
+    for key, val in raw.items():
+        if isinstance(val, bool):
+            raise InvalidParams(f"{key} must be a number, got {val!r}")
     d = dict(raw)
     unit = d.pop("unit", None)
     if unit is None:

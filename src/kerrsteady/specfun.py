@@ -1,9 +1,8 @@
 """Scalar special functions backing the closed-form steady-state solvers.
 
-Everything here works on plain Python complex numbers.  The four public
+Everything here works on plain Python complex numbers.  The three public
 entry points are
 
-* :func:`log_gamma`, the principal-branch complex log-gamma,
 * :func:`pochhammer`, rising factorials evaluated by direct product,
 * :func:`hyp0f2`, the generalized hypergeometric series 0F2(; b1, b2; z),
 * :func:`hyp2f1_terminating`, the terminating Gauss sum 2F1(-m, y; z; 2).
@@ -21,26 +20,10 @@ choosing the one of least absolute term mass.  Its error is then about
 
 from __future__ import annotations
 
-import cmath
 import math
 from dataclasses import dataclass
 
-from .errors import DenominatorPole, InvalidParams, NonConvergence, PoleError
-
-_LANCZOS_G = 7
-_LANCZOS_COEF = (
-    0.99999999999980993,
-    676.5203681218851,
-    -1259.1392167224028,
-    771.32342877765313,
-    -176.61502916214059,
-    12.507343278686905,
-    -0.13857109526572012,
-    9.9843695780195716e-6,
-    1.5056327351493116e-7,
-)
-_LOG_2PI = math.log(2.0 * math.pi)
-_LOG_PI = math.log(math.pi)
+from .errors import DenominatorPole, InvalidParams, NonConvergence
 
 _POLE_GUARD = 1e-12
 _SERIES_TOL = 1e-16
@@ -62,8 +45,6 @@ class SeriesResult:
         Partial sum at termination.
     terms_used : int
         Number of terms accumulated.
-    converged : bool
-        True when the small-term exit fired, False when the term cap did.
     tail_estimate : float
         Largest relative magnitude |term| / |partial sum| among the final
         run of small terms; an upper-bound proxy for the discarded tail.
@@ -71,7 +52,6 @@ class SeriesResult:
 
     value: complex
     terms_used: int
-    converged: bool
     tail_estimate: float
 
 
@@ -82,42 +62,10 @@ def _check_finite(name: str, value: complex) -> complex:
     return value
 
 
-def log_gamma(z: complex) -> complex:
-    """Principal-branch log-gamma of a complex argument.
-
-    Lanczos approximation (g = 7, nine coefficients) on Re z >= 1/2 and
-    the reflection formula below, arranged so the result follows the
-    standard analytic continuation of log Gamma rather than log composed
-    with Gamma.  Relative accuracy is about 1e-15 for |z| <= 200.
-
-    Raises
-    ------
-    PoleError
-        If z lies within 1e-12 of a pole (a nonpositive integer).
-    """
-    z = _check_finite("z", z)
-    if z.real < 0.5:
-        nearest = round(z.real)
-        if nearest <= 0 and abs(complex(z.real - nearest, z.imag)) < _POLE_GUARD:
-            raise PoleError(f"log_gamma pole at nonpositive integer near z={z!r}")
-        if z.imag < 0.0:
-            return log_gamma(z.conjugate()).conjugate()
-        return _LOG_PI - _log_sin_pi_upper(z) - _lanczos(1.0 - z)
-    return _lanczos(z)
-
-
-def _lanczos(z: complex) -> complex:
-    acc = _LANCZOS_COEF[0] + 0j
-    for i in range(1, len(_LANCZOS_COEF)):
-        acc += _LANCZOS_COEF[i] / (z - 1.0 + i)
-    t = z + (_LANCZOS_G - 0.5)
-    return 0.5 * _LOG_2PI + (z - 0.5) * cmath.log(t) - t + cmath.log(acc)
-
-
-def _log_sin_pi_upper(z: complex) -> complex:
-    # Valid for Im z >= 0: factor out exp(-i pi z) so nothing overflows and
-    # the branch tracks the continuation used by standard lgamma tables.
-    return -1j * cmath.pi * z + cmath.log((cmath.exp(2j * cmath.pi * z) - 1.0) / 2j)
+def _near_pole(b: complex, lowest: float = -math.inf) -> bool:
+    """True when b is within the pole guard of an integer n, lowest < n <= 0."""
+    nearest = round(b.real)
+    return lowest < nearest <= 0 and abs(complex(b.real - nearest, b.imag)) < _POLE_GUARD
 
 
 def pochhammer(x: complex, m: int) -> complex:
@@ -156,17 +104,15 @@ def hyp0f2(b1: complex, b2: complex, z: complex) -> SeriesResult:
     b2 = _check_finite("b2", b2)
     z = _check_finite("z", z)
     for name, b in (("b1", b1), ("b2", b2)):
-        nearest = round(b.real)
-        if nearest <= 0 and abs(complex(b.real - nearest, b.imag)) < _POLE_GUARD:
+        if _near_pole(b):
             raise DenominatorPole(
                 f"hyp0f2 parameter {name}={b!r} within {_POLE_GUARD} of a nonpositive integer"
             )
     if z == 0:
-        return SeriesResult(1.0 + 0j, 1, True, 0.0)
+        return SeriesResult(1.0 + 0j, 1, 0.0)
 
-    total = 1.0 + 0j
+    total = term = 1.0 + 0j
     comp = 0.0 + 0j
-    term = 1.0 + 0j
     small_run = 0
     tail = 1.0
     for m in range(_SERIES_CAP):
@@ -186,7 +132,7 @@ def hyp0f2(b1: complex, b2: complex, z: complex) -> SeriesResult:
             small_run += 1
             tail = max(tail if small_run > 1 else 0.0, rel)
             if small_run >= _CONSECUTIVE_SMALL:
-                return SeriesResult(total, m + 2, True, tail)
+                return SeriesResult(total, m + 2, tail)
         else:
             small_run = 0
             tail = rel
@@ -205,17 +151,13 @@ def hyp0f2_ratio(
     """
     for name, b in (("bn1", bn1), ("bn2", bn2), ("bd1", bd1), ("bd2", bd2)):
         b = _check_finite(name, b)
-        nearest = round(b.real)
-        if nearest <= 0 and abs(complex(b.real - nearest, b.imag)) < _POLE_GUARD:
+        if _near_pole(b):
             raise DenominatorPole(
                 f"hyp0f2_ratio parameter {name}={b!r} within {_POLE_GUARD} of a nonpositive integer"
             )
     z = _check_finite("z", z)
 
-    num = 1.0 + 0j
-    den = 1.0 + 0j
-    tn = 1.0 + 0j
-    td = 1.0 + 0j
+    num = den = tn = td = 1.0 + 0j
     small_run = 0
     for m in range(_SERIES_CAP):
         dn = (bn1 + m) * (bn2 + m) * (m + 1)
@@ -255,8 +197,7 @@ def _connection_form(m: int, b: complex, zb: complex, ratio: complex) -> tuple[f
     small b.  A form whose lower parameter comes within the pole guard
     of zero is skipped: it gets infinite mass.
     """
-    nearest = round(zb.real)
-    if -m < nearest <= 0 and abs(complex(zb.real - nearest, zb.imag)) < _POLE_GUARD:
+    if _near_pole(zb, -m):
         return math.inf, 0j
     term = total = 1.0 + 0j
     mass = 1.0
@@ -278,6 +219,39 @@ def _argument_two_form(m: int, b: complex, z: complex) -> tuple[float, complex]:
     return mass, total
 
 
+def _difference_form(
+    m: int, y: complex, w: complex, z: complex, d: complex
+) -> tuple[float, complex]:
+    """Mass and value of (C(y) - C(w)) / 2, with d = y - w factored out.
+
+    C(b) = P_b S_b is a connection form: prefactor times the sum of terms
+    u_j(b) of ratio r_j(b).  For odd m, C(w) = -C(y), so this is the value.
+    Near y = w each C(b) is O(1) and the value O(d), so both differences
+    are carried by recurrences proportional to the unrounded d:
+    dP <- (dP (w+j) - P_w d) / (z+j) and du <- du r_j(y) + u_j(w) dr_j,
+    dr_j = (m-j) d (1-m-z) / ((j+1) (L_j-w) (L_j-y)), L_j = 1-m+j.
+    """
+    if _near_pole(w, -m) or _near_pole(y, -m):
+        return math.inf, 0j
+    p_w = u_y = u_w = total_y = 1.0 + 0j
+    dp = du = total_du = 0j
+    mass_y, mass_du = 1.0, 0.0
+    for j in range(m):
+        low = 1 - m + j
+        dp = (dp * (w + j) - p_w * d) / (z + j)
+        p_w *= (y + j) / (z + j)
+        r_y = (m - j) * (y + j) / ((j + 1) * (low - w))
+        du = du * r_y + u_w * (m - j) * d * (1 - m - z) / ((j + 1) * (low - w) * (low - y))
+        u_w *= (m - j) * (w + j) / ((j + 1) * (low - y))
+        u_y *= r_y
+        total_y += u_y
+        total_du += du
+        mass_y += abs(u_y)
+        mass_du += abs(du)
+    value = 0.5 * (dp * total_y + p_w * total_du)
+    return 0.5 * (abs(dp) * mass_y + abs(p_w) * mass_du), value
+
+
 def _least_mass(forms: list[tuple[float, complex]]) -> tuple[float, complex]:
     """The form of smallest finite mass; forms tied on it are averaged.
 
@@ -290,34 +264,40 @@ def _least_mass(forms: list[tuple[float, complex]]) -> tuple[float, complex]:
     return best, sum(tied[1:], tied[0]) / len(tied)
 
 
-def hyp2f1_terminating(m: int, y: complex, z: complex) -> complex:
+def hyp2f1_terminating(
+    m: int, y: complex, z: complex, asym: complex | None = None
+) -> complex:
     """Terminating Gauss sum 2F1(-m, y; z; 2) in plain complex doubles.
 
     The direct sum at argument 2 is ill-conditioned: its terms alternate
     and their absolute mass grows like 3^m while the value stays of
-    order one.  The same polynomial is therefore summed in four forms,
-    each one pass of m + 1 terms:
+    order one.  The same polynomial is therefore summed in up to five
+    forms, with w = z - y and d = y - w:
 
     * the connection formula to argument -1 (DLMF 15.8(ii)),
       C(b) = (z-b)_m / (z)_m * 2F1(-m, b; b-z-m+1; -1), at b = y;
-    * the same at the Pfaff partner b = z - y, times (-1)^m, since
-      2F1(-m, y; z; 2) = (-1)^m 2F1(-m, z-y; z; 2);
-    * the direct argument-2 sum and its Pfaff partner, likewise.
+    * the same at the Pfaff partner b = w, times (-1)^m, since
+      2F1(-m, y; z; 2) = (-1)^m 2F1(-m, w; z; 2);
+    * the direct argument-2 sum and its Pfaff partner, likewise;
+    * for odd m, (C(y) - C(w)) / 2 with d factored out (_difference_form).
 
     A form's mass is the sum of its terms' magnitudes times the
     magnitude of its prefactor; in doubles its error is bounded by about
     (m+1) * eps * mass, eps = 2^-52.  The value released is the one of
     least mass, averaged with any form of exactly equal mass, which
-    keeps it exactly symmetric under y <-> z - y.  At y = z/2 the Pfaff
-    identity makes every odd order zero, and that exact zero is returned
-    without a sum.  The two connection forms are summed first; they are
-    well-conditioned on every family the solvers use.  Only if
-    (m+1) * eps * mass exceeds 1e-13 of the value are the argument-2
-    forms summed too.  A connection form whose lower parameter
-    b - z - m + 1 + j comes within the pole guard of zero is skipped; so
-    at y = z with z that close to one of 0, -1, ..., 1 - m both are, and
-    the Pfaff partner 2F1(-m, 0; z; 2) = 1 gives the value.  The tests hold every value within 2 (m+1) eps times the
-    least mass of the four forms of a 60-digit reference.
+    keeps it exactly symmetric under y <-> w.  The connection forms are
+    summed first; only if (m+1) * eps * mass exceeds 1e-13 of the value
+    are the others summed too.  A connection form whose lower parameter
+    comes within the pole guard of zero is skipped; so at y = z with z
+    that close to one of 0, -1, ..., 1 - m both are, and the Pfaff
+    partner 2F1(-m, 0; z; 2) = 1 gives the value.  The tests hold every
+    value within 2 (m+1) eps times the least mass of the first four
+    forms of a 60-digit reference.
+
+    Odd orders are odd in d, which is rounded away when y is formed near
+    z/2, so a caller that knows asym = y - z/2 unrounded passes it and
+    d = 2 asym.  At small d only the last form, of mass O(d), then meets
+    the bound; at d = 0 odd orders are exactly zero, without a sum.
 
     Raises
     ------
@@ -332,6 +312,7 @@ def hyp2f1_terminating(m: int, y: complex, z: complex) -> complex:
     y = _check_finite("y", y)
     z = _check_finite("z", z)
     w = z - y
+    d = y - w if asym is None else 2.0 * _check_finite("asym", asym)
     poch_z = ratio_y = ratio_w = 1.0 + 0j
     for n in range(m):
         zn = z + n
@@ -342,7 +323,7 @@ def hyp2f1_terminating(m: int, y: complex, z: complex) -> complex:
             )
         ratio_y *= (y + n) / zn
         ratio_w *= (w + n) / zn
-    if m % 2 and w == y:
+    if m % 2 and d == 0:
         # the Pfaff identity makes the value equal to minus itself
         return 0j
     sign = -1.0 if m % 2 else 1.0
@@ -354,5 +335,7 @@ def hyp2f1_terminating(m: int, y: complex, z: complex) -> complex:
         forms.append(_argument_two_form(m, y, z))
         mass, value = _argument_two_form(m, w, z)
         forms.append((mass, sign * value))
+        if m % 2:
+            forms.append(_difference_form(m, y, w, z, d))
         mass, value = _least_mass(forms)
     return value

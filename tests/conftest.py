@@ -52,12 +52,6 @@ def refs():
 
 
 @pytest.fixture(scope="session")
-def log_gamma_grid():
-    with open(DATA_DIR / "log_gamma_grid.json") as fh:
-        return json.load(fh)["points"]
-
-
-@pytest.fixture(scope="session")
 def golden_hamiltonian():
     with open(DATA_DIR / "golden_hamiltonian_cutoff3.json") as fh:
         return json.load(fh)

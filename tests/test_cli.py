@@ -15,6 +15,7 @@ import pytest
 
 from kerrsteady.cli import main
 from kerrsteady.keldysh_ops import build_generalized_hamiltonian_clq, steady_residual
+from kerrsteady.exact_linear import amplitude_moment
 from kerrsteady.exact_twophoton import wavefunction_twophoton, wavefunction_via_three_term
 from kerrsteady.model import params_from_dict
 
@@ -85,6 +86,22 @@ class TestHappyPaths:
         assert payload["residual_norm"] == want.residual_norm
         assert payload["edge_norm"] == want.edge_norm
         assert payload["residual_norm"] <= 1e-8
+
+    def test_resonance_scan_at_small_drive(self, tmp_path):
+        # at omega = 1e-8 the odd Gauss sums are O(omega); every row must
+        # release and agree with the three-term recursion
+        args = ["resonance-scan", "--unit", "chi", "--chi", "1", "--gamma", "0.1",
+                "--omega", "1e-8", "--lambda2", "0.2", "--kappa", "0.1",
+                "--delta-from", "-4.5", "--delta-to", "0.5", "--delta-step", "0.01"]
+        code, target = run_to_file(tmp_path, args)
+        assert code == 0
+        rows = [line.split(",") for line in target.read_text().splitlines()[2:]]
+        assert len(rows) == 501
+        base = params_from_dict({"delta_c": 0.0, "chi": 1.0, "gamma": 0.1, "omega": 1e-8,
+                                 "lambda_re": 0.2, "kappa": 0.1})
+        for row in rows:
+            wf = wavefunction_via_three_term(base.replace(delta_c=float(row[0])))
+            assert float(row[1]) == pytest.approx(amplitude_moment(wf, 1, 1).real, rel=1e-12)
 
     def test_residual_reaches_deep_state(self, tmp_path):
         # The deep family at omega=16 peaks near m = 138, so its
@@ -240,6 +257,15 @@ class TestUsageErrors:
         code = main(["meanfield-sweep", "--config", str(tmp_path / "absent.json"),
                      "--omega-from", "0", "--omega-to", "1", "--omega-step", "0.5"])
         assert code == 2
+
+    @pytest.mark.parametrize("content", ["[1, 2]", '"abc"', "3"])
+    def test_config_not_an_object_exits_two(self, tmp_path, capsys, content):
+        config = tmp_path / "config.json"
+        config.write_text(content)
+        code = main(["exact-sweep", "--config", str(config),
+                     "--omega-from", "0", "--omega-to", "1", "--omega-step", "0.5"])
+        assert code == 2
+        assert "JSON object" in capsys.readouterr().err
 
     def test_bad_manifest_shape(self, tmp_path, capsys):
         manifest = tmp_path / "cases.json"

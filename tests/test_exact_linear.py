@@ -19,7 +19,6 @@ from kerrsteady.exact_linear import (
     correlation_linear,
     exact_drive_point,
     photon_number_linear,
-    sweep_drive_exact,
     wavefunction_linear,
 )
 from kerrsteady.exact_twophoton import wavefunction_twophoton, wavefunction_via_three_term
@@ -182,16 +181,14 @@ def test_classical_limit_matches_mean_field():
 class TestSweep:
     def test_single_zero_point(self):
         p = ModelParams(delta_c=5.0, chi=-0.25, omega=0.0, gamma=1.0)
-        rows = sweep_drive_exact(p, [0.0])
-        assert len(rows) == 1
-        assert rows[0].omega == 0.0 and rows[0].n == 0.0
+        row = exact_drive_point(p, 0.0)
+        assert row.omega == 0.0 and row.n == 0.0
+        assert math.isnan(row.g2)
 
     def test_rows_match_point_calls(self, bistable_params):
-        grid = [0.5, 2.0, 4.0]
-        rows = sweep_drive_exact(bistable_params, grid)
-        for om, row in zip(grid, rows):
-            single = exact_drive_point(bistable_params, om)
-            assert row == single
+        for om in (0.5, 2.0, 4.0):
+            row = exact_drive_point(bistable_params, om)
+            assert row.omega == om
             at_om = bistable_params.replace(omega=om)
             assert row.n == pytest.approx(photon_number_linear(at_om), rel=1e-12)
             assert row.amplitude == correlation_linear(at_om, 0, 1).value
@@ -204,7 +201,7 @@ class TestSweep:
 
     def test_invalid_grid_rejected(self, bistable_params):
         with pytest.raises(InvalidParams):
-            sweep_drive_exact(bistable_params, [-0.5])
+            exact_drive_point(bistable_params, -0.5)
 
 
 def test_amplitude_moment_requires_wavefunction_support(bistable_params):

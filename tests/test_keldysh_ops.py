@@ -18,8 +18,6 @@ from kerrsteady.keldysh_ops import (
     OperatorMatrix,
     build_generalized_hamiltonian_clq,
     build_generalized_hamiltonian_pm,
-    build_mode_operators,
-    candidate_density_matrix,
     convert_basis,
     embed_wavefunction,
     hamiltonian_parts_clq,
@@ -29,7 +27,6 @@ from kerrsteady.keldysh_ops import (
     q_grade_blocks,
     steady_residual,
 )
-from kerrsteady.lindblad_oracle import steady_state_at
 from kerrsteady.model import ModelParams, params_from_dict
 
 from conftest import DATA_DIR, as_complex, total_photon_mask
@@ -37,9 +34,9 @@ from conftest import DATA_DIR, as_complex, total_photon_mask
 
 class TestModeOperators:
     def test_single_mode_ladder(self):
-        ops = build_mode_operators((1, 1))
-        want = np.kron([[0.0, 1.0], [0.0, 0.0]], np.eye(2))
-        assert np.array_equal(ops["a_cl"].entries, want)
+        lower = [[0.0, 1.0], [0.0, 0.0]]
+        assert np.array_equal(mode_annihilation((1, 1), 0), np.kron(lower, np.eye(2)))
+        assert np.array_equal(mode_annihilation((1, 1), 1), np.kron(np.eye(2), lower))
 
     def test_commutator_is_identity_below_edge(self):
         a = mode_annihilation((5, 3), 0)
@@ -56,12 +53,10 @@ class TestModeOperators:
         )
 
     def test_basis_tags_and_names(self):
-        clq = build_mode_operators((3, 2), "cl_q")
-        pm = build_mode_operators((3, 2), "plus_minus")
-        assert set(clq) == {"a_cl", "a_q"}
-        assert set(pm) == {"a_plus", "a_minus"}
-        assert all(op.basis_tag == "cl_q" for op in clq.values())
-        assert all(op.dim == 12 for op in pm.values())
+        for tag in ("cl_q", "plus_minus"):
+            op = OperatorMatrix(mode_annihilation((3, 2), 1), tag, (3, 2))
+            assert op.basis_tag == tag
+            assert op.dim == 12
 
     def test_shape_validation(self):
         with pytest.raises(InvalidParams):
@@ -281,17 +276,3 @@ class TestSteadyResidual:
             assert later <= 1.1 * earlier + 1e-15
         assert all(r <= 1e-10 for r in norms)
 
-
-def test_candidate_matrix_differs_from_lindblad_state(twophoton_params):
-    # Exploratory diagnostic: the rearranged doubled-space vector is not
-    # the density matrix, and this pins the observed gap so any future
-    # change in that relationship surfaces.
-    wf = wavefunction_twophoton(twophoton_params)
-    cand = candidate_density_matrix(wf, wf.truncation, wf.truncation)
-    assert cand.shape == (wf.truncation + 1, wf.truncation + 1)
-    assert np.all(np.isfinite(cand.view(float)))
-    assert complex(np.trace(cand)) == pytest.approx(1.0 + 0j, abs=1e-12)
-    rho = steady_state_at(twophoton_params, cutoff=max(24, wf.truncation))
-    top = min(cand.shape[0], rho.entries.shape[0])
-    gap = np.max(np.abs(cand[:top, :top] - rho.entries[:top, :top]))
-    assert gap > 1e-3

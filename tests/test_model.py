@@ -90,6 +90,18 @@ class TestDeriveTwophoton:
         )
         d = derive_twophoton(p)
         assert d.y == d.z / 2
+        assert d.asym == 0
+
+    @pytest.mark.parametrize("omega", [1e-300, 1e-8, 0.3])
+    def test_asym_is_y_minus_half_z_unrounded(self, omega):
+        p = ModelParams(
+            delta_c=-2.0, chi=1.0, omega=omega, gamma=0.3, lambda_2ph=0.7 - 0.2j, kappa=0.4
+        )
+        d = derive_twophoton(p)
+        want = -1j * math.sqrt(2.0) * omega / (d.lambda_disp * (2.0 - 0.4j))
+        assert d.asym == pytest.approx(want, rel=1e-15)
+        if omega > 0.1:
+            assert d.asym == pytest.approx(d.y - d.z / 2, rel=1e-14)
 
     def test_frozen_scan_point(self, refs, twophoton_params):
         d = derive_twophoton(twophoton_params)
@@ -204,6 +216,21 @@ class TestParamsFromDict:
     def test_missing_required_rejected(self):
         with pytest.raises(InvalidParams):
             params_from_dict({"delta_c": 1.0, "gamma": 1.0})
+
+    @pytest.mark.parametrize(
+        "raw",
+        [
+            {"delta_c": True, "chi": 1.0, "gamma": 1.0},
+            {"delta_c": 1.0, "chi": 1.0, "gamma": 1.0, "omega": False},
+            {"unit": "gamma", "gamma": True, "delta_c_over_gamma": 5.0,
+             "chi_over_gamma": -0.25},
+            {"unit": "chi", "delta_c_over_chi": -1.0, "gamma_over_chi": True},
+        ],
+    )
+    def test_bools_rejected(self, raw):
+        # bool is an int subclass; true must not run as 1.0
+        with pytest.raises(InvalidParams):
+            params_from_dict(raw)
 
     def test_roundtrip_through_to_dict(self, twophoton_params):
         again = params_from_dict(twophoton_params.to_dict())
