@@ -81,18 +81,17 @@ def _add_param_flags(parser: argparse.ArgumentParser, names: tuple[str, ...]) ->
             group.add_argument(flag, dest=f"p_{name}", type=float, help=help_text)
 
 
-def _resolve_params(
-    args, names: tuple[str, ...], inject: dict | None = None
-) -> tuple[ModelParams, float]:
-    """Build ModelParams from flags or config; return it with the unit anchor.
+def _resolve_params(args, inject: dict | None = None) -> tuple[ModelParams, float, str]:
+    """Build ModelParams from flags or config; return it, the unit anchor and the unit.
 
-    The anchor is what one grid unit is worth in absolute frequency: the
-    declared unit's absolute value under --unit, and 1 otherwise.
-    inject supplies placeholder values for quantities the grid will
-    overwrite per point (so the config contract stays satisfied).
+    Flags become the dict a config file would hold; both go through
+    params_from_dict.  The anchor is the declared unit's absolute value
+    (1 with no unit, "absolute"): what one grid unit is worth.  inject
+    gives placeholders for quantities the grid overwrites per point.
     """
     given = {}
-    for name in names:
+    for name, _, _ in _PARAM_FLAGS:
+        # a command has attributes only for the parameter flags it declares
         value = getattr(args, f"p_{name}", None)
         if value is not None:
             given[name] = value
@@ -102,32 +101,24 @@ def _resolve_params(
         raw = _load_json(args.config)
         if not isinstance(raw, dict):
             raise _UsageError(f"{args.config} must hold a JSON object of parameters")
-        anchor = 1.0
-        if isinstance(raw.get("unit"), str):
-            anchor_value = raw.get(raw["unit"], 1.0)
-            anchor = float(anchor_value) if isinstance(anchor_value, (int, float)) else 1.0
-        for key, value in (inject or {}).items():
-            ratio_key = f"{key}_over_{raw['unit']}" if "unit" in raw else key
-            if key not in raw and ratio_key not in raw:
-                raw[ratio_key] = value
-        return params_from_dict(raw), anchor
-    if args.unit is None:
-        d = dict(given)
-        for key, value in (inject or {}).items():
-            d.setdefault(key, value)
-        return params_from_dict(d), 1.0
-    unit = args.unit
-    anchor = given.pop(unit, 1.0)
-    if not 0.0 < anchor < math.inf:
-        raise _UsageError(
-            f"--unit {unit}: the unit must be positive and finite, got --{unit} {anchor}"
-        )
-    d: dict = {"unit": unit, unit: anchor}
-    for name, value in given.items():
-        d[f"{name}_over_{unit}"] = value
+    elif args.unit is None:
+        raw = given
+    else:
+        anchor = given.pop(args.unit, 1.0)
+        if not 0.0 < anchor < math.inf:
+            raise _UsageError(
+                f"--unit {args.unit}: the unit must be positive and finite, "
+                f"got --{args.unit} {anchor}"
+            )
+        raw = {"unit": args.unit, args.unit: anchor}
+        raw.update((f"{name}_over_{args.unit}", value) for name, value in given.items())
+    unit = raw.get("unit")
     for key, value in (inject or {}).items():
-        d.setdefault(f"{key}_over_{unit}", value)
-    return params_from_dict(d), anchor
+        raw.setdefault(key if unit is None else f"{key}_over_{unit}", value)
+    params = params_from_dict(raw)
+    if unit is None:
+        return params, 1.0, "absolute"
+    return params, getattr(params, unit), unit
 
 
 def _grid(start: float, stop: float, step: float, what: str) -> list[float]:
@@ -185,14 +176,14 @@ def _map_grid(task, items: list, workers: int) -> list:
 
 
 def _cmd_meanfield_sweep(args) -> int:
-    params, anchor = _resolve_params(args, ("delta_c", "chi", "gamma"), inject={"omega": 0.0})
+    params, anchor, unit = _resolve_params(args)
     grid = _grid(args.omega_from, args.omega_to, args.omega_step, "omega")
     omegas = [g * anchor for g in grid]
     per_point = _map_grid(partial(drive_point_branches, params), omegas, args.workers)
     meta = {
         "command": "meanfield-sweep",
         "grid": {"from": args.omega_from, "to": args.omega_to, "step": args.omega_step,
-                 "unit": args.unit or "absolute"},
+                 "unit": unit},
         "params": params.to_dict(),
     }
     rows = [
@@ -211,7 +202,7 @@ def _cmd_meanfield_sweep(args) -> int:
 
 def _cmd_exact_sweep(args) -> int:
     l, k = _moment_orders(args.l, args.k, "--l/--k")
-    params, anchor = _resolve_params(args, ("delta_c", "chi", "gamma"), inject={"omega": 0.0})
+    params, anchor, unit = _resolve_params(args)
     grid = _grid(args.omega_from, args.omega_to, args.omega_step, "omega")
     omegas = [g * anchor for g in grid]
     points = _map_grid(partial(exact_drive_point, params), omegas, args.workers)
@@ -226,7 +217,7 @@ def _cmd_exact_sweep(args) -> int:
     meta = {
         "command": "exact-sweep",
         "grid": {"from": args.omega_from, "to": args.omega_to, "step": args.omega_step,
-                 "unit": args.unit or "absolute"},
+                 "unit": unit},
         "moment": {"l": l, "k": k},
         "params": params.to_dict(),
     }
@@ -235,11 +226,7 @@ def _cmd_exact_sweep(args) -> int:
 
 
 def _cmd_resonance_scan(args) -> int:
-    params, anchor = _resolve_params(
-        args,
-        ("chi", "gamma", "omega", "lambda_re", "lambda_im", "kappa"),
-        inject={"delta_c": 0.0},
-    )
+    params, anchor, unit = _resolve_params(args, inject={"delta_c": 0.0})
     if params.chi == 0.0:
         raise _UsageError("resonance-scan needs a nonzero --chi")
     grid = _grid(args.delta_from, args.delta_to, args.delta_step, "detuning")
@@ -252,7 +239,7 @@ def _cmd_resonance_scan(args) -> int:
     meta = {
         "command": "resonance-scan",
         "grid": {"from": args.delta_from, "to": args.delta_to, "step": args.delta_step,
-                 "unit": args.unit or "absolute"},
+                 "unit": unit},
         "params": params.to_dict(),
     }
     _emit(args, lambda out: _write_table(
@@ -262,10 +249,7 @@ def _cmd_resonance_scan(args) -> int:
 
 
 def _cmd_residual(args) -> int:
-    params, _ = _resolve_params(
-        args,
-        ("delta_c", "chi", "gamma", "omega", "lambda_re", "lambda_im", "kappa"),
-    )
+    params, _, _ = _resolve_params(args)
     psi = wavefunction_twophoton(params, truncation=args.cutoff_cl)
     ham = build_generalized_hamiltonian_clq(params, (args.cutoff_cl, args.cutoff_q))
     report = steady_residual(ham, psi, args.interior)

@@ -19,7 +19,7 @@ from __future__ import annotations
 
 import math
 from collections.abc import Callable
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -39,6 +39,8 @@ _TAIL_RUN = 3
 _NORM_XCHECK_TOL = 1e-8
 _MOMENT_XCHECK_TOL = 1e-9
 _MAX_MOMENT_ORDER = 16
+# adaptive amplitude ladders give up past this Fock index
+_MAX_TRUNCATION = 4096
 
 # Moments from the amplitude representation carry one factor sqrt(2) per
 # operator order that the closed form does not; this rescaling removes it.
@@ -65,7 +67,6 @@ class SteadyWavefunction:
     norm_constant: float
     tail_mass: float
     converged: bool
-    params: ModelParams | None = field(repr=False, default=None)
 
 
 @dataclass(frozen=True)
@@ -149,9 +150,7 @@ def _raw_amplitudes(
     return _ladder(step, tail_tol, max_truncation, truncation)
 
 
-def _package(
-    params: ModelParams, betas: list[complex], converged: bool
-) -> SteadyWavefunction:
+def _package(betas: list[complex], converged: bool) -> SteadyWavefunction:
     """Normalize a ladder's output into a SteadyWavefunction."""
     amps = np.asarray(betas, dtype=complex)
     norm = float(np.sum(np.abs(amps) ** 2))
@@ -161,7 +160,6 @@ def _package(
         norm_constant=norm,
         tail_mass=float(abs(amps[-1]) ** 2 / norm),
         converged=converged,
-        params=params,
     )
 
 
@@ -209,7 +207,7 @@ def _real_photon_number(result: CorrelationResult) -> float:
 def wavefunction_linear(
     params: ModelParams,
     tail_tol: float = 1e-16,
-    max_truncation: int = 4096,
+    max_truncation: int = _MAX_TRUNCATION,
     truncation: int | None = None,
 ) -> SteadyWavefunction:
     """Steady-state amplitude sequence for the linearly driven model.
@@ -241,7 +239,7 @@ def wavefunction_linear(
             "two-photon pump or loss present; use the two-photon solver"
         )
     derived = derive_linear(params)
-    wf = _package(params, *_raw_amplitudes(derived, tail_tol, max_truncation, truncation))
+    wf = _package(*_raw_amplitudes(derived, tail_tol, max_truncation, truncation))
     norm_series = wf.norm_constant
     w = 2.0 * abs(derived.epsilon) ** 2
     norm_hyper = hyp0f2(derived.x.conjugate(), derived.x, w).value
@@ -326,13 +324,12 @@ class ExactSweepRow:
 
 def exact_drive_point(params: ModelParams, omega: float) -> ExactSweepRow:
     """<a^dag a>, <a>, and g2 = <a^dag^2 a^2> / <a^dag a>^2 (nan at zero drive)."""
-    om = float(omega)
-    if not math.isfinite(om) or om < 0.0:
-        raise InvalidParams(f"drive values must be finite and >= 0, got {om!r}")
-    at_om = params.replace(omega=om)
+    at_om = params.replace(omega=omega)
+    if at_om.omega < 0.0:
+        raise InvalidParams(f"drive values must be >= 0, got {omega!r}")
     n = photon_number_linear(at_om)
     amplitude = correlation_linear(at_om, 0, 1).value
     numerator = correlation_linear(at_om, 2, 2).value.real
     g2 = numerator / n**2 if n**2 > 0.0 else float("nan")
-    return ExactSweepRow(omega=om, n=n, amplitude=amplitude, g2=g2)
+    return ExactSweepRow(omega=at_om.omega, n=n, amplitude=amplitude, g2=g2)
 

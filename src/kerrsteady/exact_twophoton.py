@@ -37,6 +37,7 @@ from .errors import (
     UnsupportedModel,
 )
 from .exact_linear import (
+    _MAX_TRUNCATION,
     CorrelationResult,
     SteadyWavefunction,
     _check_moment_orders,
@@ -52,7 +53,7 @@ from .model import ModelParams, derive_twophoton
 from .specfun import _POLE_GUARD, hyp2f1_terminating
 
 # the cross-check covers the whole amplitude support: up to the truncation cap
-_XCHECK_MAX_INDEX = 4096
+_XCHECK_MAX_INDEX = _MAX_TRUNCATION
 _XCHECK_AMP_FLOOR = 1e-12
 _XCHECK_TOL = 1e-9
 
@@ -146,7 +147,7 @@ def _spot_check_against_recursion(params: ModelParams, betas: list[complex]) -> 
 def wavefunction_twophoton(
     params: ModelParams,
     tail_tol: float = 1e-16,
-    max_truncation: int = 4096,
+    max_truncation: int = _MAX_TRUNCATION,
     truncation: int | None = None,
 ) -> SteadyWavefunction:
     """Steady-state amplitude sequence from the polynomial closed form.
@@ -167,13 +168,13 @@ def wavefunction_twophoton(
     _require_twophoton(params)
     betas, converged = _closed_form_amplitudes(params, tail_tol, max_truncation, truncation)
     _spot_check_against_recursion(params, betas)
-    return _package(params, betas, converged)
+    return _package(betas, converged)
 
 
 def wavefunction_via_three_term(
     params: ModelParams,
     tail_tol: float = 1e-16,
-    max_truncation: int = 4096,
+    max_truncation: int = _MAX_TRUNCATION,
     truncation: int | None = None,
 ) -> SteadyWavefunction:
     """Steady-state amplitude sequence from the three-term recursion.
@@ -187,7 +188,7 @@ def wavefunction_via_three_term(
     """
     _require_twophoton(params)
     betas, converged = _recursion_amplitudes(params, tail_tol, max_truncation, truncation)
-    return _package(params, betas, converged)
+    return _package(betas, converged)
 
 
 def correlation_twophoton(params: ModelParams, l: int, k: int) -> CorrelationResult:
@@ -298,7 +299,7 @@ def scan_point(params: ModelParams, delta_c: float) -> tuple[float, float]:
     (which still checks every amplitude against the recursion per call);
     the moment-level dual route lives in correlation_twophoton.
     """
-    wf = wavefunction_twophoton(params.replace(delta_c=float(delta_c)))
+    wf = wavefunction_twophoton(params.replace(delta_c=delta_c))
     n = amplitude_moment(wf, 1, 1).real
     pair = amplitude_moment(wf, 2, 2).real
     return n, (pair / n**2 if n > 0.0 else float("nan"))

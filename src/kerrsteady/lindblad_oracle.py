@@ -21,7 +21,7 @@ this module (and the CLI's grid commands) loads numpy only.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import TYPE_CHECKING
 
 import numpy as np
@@ -84,7 +84,6 @@ class Liouvillian:
 
     matrix: sp.csc_matrix
     cutoff: int
-    params: ModelParams | None = field(repr=False, default=None)
 
 
 def fock_annihilation(cutoff: int) -> np.ndarray:
@@ -133,7 +132,7 @@ def build_liouvillian(params: ModelParams, cutoff: int) -> Liouvillian:
             - 0.5 * sp.kron(eye, cdc, format="csc")
             - 0.5 * sp.kron(cdc.T, eye, format="csc")
         )
-    return Liouvillian(matrix=lmat.tocsc(), cutoff=cutoff, params=params)
+    return Liouvillian(matrix=lmat.tocsc(), cutoff=cutoff)
 
 
 def splu(matrix: sp.csc_matrix):

@@ -228,10 +228,9 @@ def classify_stability(branch: MeanFieldBranch, params: ModelParams) -> MeanFiel
 
 def drive_point_branches(params: ModelParams, omega: float) -> list[MeanFieldBranch]:
     """Classified branches at one drive amplitude, sorted ascending in n."""
-    om = float(omega)
-    if not math.isfinite(om) or om < 0.0:
-        raise InvalidParams(f"drive grid values must be finite and >= 0, got {om!r}")
-    at_om = params.replace(omega=om)
+    at_om = params.replace(omega=omega)
+    if at_om.omega < 0.0:
+        raise InvalidParams(f"drive grid values must be >= 0, got {omega!r}")
     return [classify_stability(br, at_om) for br in photon_number_branches(at_om)]
 
 

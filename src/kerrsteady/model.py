@@ -19,11 +19,23 @@ from __future__ import annotations
 import cmath
 import dataclasses
 import math
+import numbers
 from dataclasses import dataclass
 
 from .errors import InvalidParams
 
-_ABS_KEYS = ("delta_c", "chi", "omega", "gamma", "lambda_re", "lambda_im", "kappa")
+_RATES = ("delta_c", "chi", "omega", "gamma", "kappa")
+_ABS_KEYS = _RATES + ("lambda_re", "lambda_im")
+
+
+def _finite_real(name: str, value) -> float:
+    """value as a float; bools, strings and non-finite numbers are refused."""
+    # bool is an int subclass and a str converts: neither may run as a rate.
+    # float and int are tested before the (slower) ABC, which admits numpy scalars.
+    if isinstance(value, bool) or not isinstance(value, (float, int, numbers.Real)) \
+            or not math.isfinite(value):
+        raise InvalidParams(f"{name} must be a finite real number, got {value!r}")
+    return float(value)
 
 
 @dataclass(frozen=True)
@@ -54,19 +66,13 @@ class ModelParams:
     kappa: float = 0.0
 
     def __post_init__(self):
-        for name in ("delta_c", "chi", "omega", "gamma", "kappa"):
-            v = getattr(self, name)
-            try:
-                v = float(v)
-            except (TypeError, ValueError):
-                raise InvalidParams(f"{name} must be a finite real number, got {v!r}") from None
-            if not math.isfinite(v):
-                raise InvalidParams(f"{name} must be a finite real number, got {v!r}")
-            object.__setattr__(self, name, v)
-        lam = complex(self.lambda_2ph)
-        if not (math.isfinite(lam.real) and math.isfinite(lam.imag)):
-            raise InvalidParams(f"lambda_2ph must be finite, got {self.lambda_2ph!r}")
-        object.__setattr__(self, "lambda_2ph", lam)
+        for name in _RATES:
+            object.__setattr__(self, name, _finite_real(name, getattr(self, name)))
+        lam = self.lambda_2ph
+        if isinstance(lam, bool) or not isinstance(lam, (complex, float, int, numbers.Complex)) \
+                or not cmath.isfinite(lam):
+            raise InvalidParams(f"lambda_2ph must be a finite complex number, got {lam!r}")
+        object.__setattr__(self, "lambda_2ph", complex(lam))
         if self.gamma <= 0.0:
             raise InvalidParams(f"gamma must be > 0, got {self.gamma}")
         if self.kappa < 0.0:
@@ -172,56 +178,44 @@ def params_from_dict(raw: dict) -> ModelParams:
         {"unit": "chi", "delta_c_over_chi": -1.0, "gamma_over_chi": 0.1,
          "kappa_over_chi": 0.1, "lambda_re_over_chi": 0.2}
 
-    Unknown keys and bool values raise InvalidParams, so typos fail loudly.
+    Only key shapes are checked here (unknown keys raise InvalidParams, so
+    typos fail loudly); ModelParams refuses bool, str and non-finite values.
     """
     if not isinstance(raw, dict):
         raise InvalidParams(f"config must be a mapping, got {type(raw).__name__}")
-    # bool is an int subclass; true must not run as 1.0
-    for key, val in raw.items():
-        if isinstance(val, bool):
-            raise InvalidParams(f"{key} must be a number, got {val!r}")
     d = dict(raw)
     unit = d.pop("unit", None)
-    if unit is None:
-        return _params_from_absolute(d)
-    if unit not in ("gamma", "chi"):
+    if unit not in (None, "gamma", "chi"):
         raise InvalidParams(f"unit must be 'gamma' or 'chi', got {unit!r}")
-
-    anchor = d.pop(unit, 1.0)
-    # a negative anchor would flip the sign of every ratio
-    if not isinstance(anchor, (int, float)) or not 0.0 < anchor < math.inf:
-        raise InvalidParams(f"anchor {unit} must be finite and positive, got {anchor!r}")
-    suffix = f"_over_{unit}"
-    values = {unit: float(anchor)}
+    suffix = "" if unit is None else f"_over_{unit}"
+    # ratio mode: every rate is a ratio except the unit's own absolute value, the anchor
+    values = {} if unit is None else {unit: d.pop(unit, 1.0)}
     for key, val in d.items():
-        if not key.endswith(suffix):
-            raise InvalidParams(
-                f"key {key!r} is not valid in ratio mode (expected *{suffix})"
-            )
-        base = key[: -len(suffix)]
-        if base not in _ABS_KEYS or base == unit:
-            raise InvalidParams(f"unknown or conflicting ratio key {key!r}")
-        if not isinstance(val, (int, float)) or not math.isfinite(val):
-            raise InvalidParams(f"{key} must be finite, got {val!r}")
-        values[base] = float(val) * float(anchor)
-    return _params_from_absolute(values)
-
-
-def _params_from_absolute(d: dict) -> ModelParams:
-    unknown = set(d) - set(_ABS_KEYS)
-    if unknown:
-        raise InvalidParams(f"unknown config keys: {sorted(unknown)}")
-    for key, val in d.items():
-        if not isinstance(val, (int, float)) or not math.isfinite(val):
-            raise InvalidParams(f"{key} must be finite, got {val!r}")
-    missing = {"delta_c", "chi", "gamma"} - set(d)
+        base = key.removesuffix(suffix)
+        if not key.endswith(suffix) or base not in _ABS_KEYS or base == unit:
+            raise InvalidParams(f"unknown config key {key!r}" + (
+                f" (ratio mode expects *{suffix})" if unit else ""))
+        values[base] = val
+    missing = {"delta_c", "chi", "gamma"} - set(values)
     if missing:
         raise InvalidParams(f"missing required config keys: {sorted(missing)}")
-    return ModelParams(
-        delta_c=float(d["delta_c"]),
-        chi=float(d["chi"]),
-        omega=float(d.get("omega", 0.0)),
-        gamma=float(d["gamma"]),
-        lambda_2ph=complex(float(d.get("lambda_re", 0.0)), float(d.get("lambda_im", 0.0))),
-        kappa=float(d.get("kappa", 0.0)),
+    # complex() would coerce a bool part, so each part gets the rate check first
+    lam_re = _finite_real("lambda_re", values.get("lambda_re", 0.0))
+    lam_im = _finite_real("lambda_im", values.get("lambda_im", 0.0))
+    params = ModelParams(
+        delta_c=values["delta_c"],
+        chi=values["chi"],
+        omega=values.get("omega", 0.0),
+        gamma=values["gamma"],
+        lambda_2ph=complex(lam_re, lam_im),
+        kappa=values.get("kappa", 0.0),
     )
+    if unit is None:
+        return params
+    anchor = getattr(params, unit)
+    # a negative anchor would flip the sign of every ratio
+    if not anchor > 0.0:
+        raise InvalidParams(f"anchor {unit} must be positive, got {anchor!r}")
+    scaled = {name: getattr(params, name) * anchor for name in _RATES if name != unit}
+    lam = params.lambda_2ph
+    return params.replace(lambda_2ph=complex(lam.real * anchor, lam.imag * anchor), **scaled)

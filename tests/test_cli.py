@@ -218,6 +218,28 @@ class TestDeterminism:
         configured_body = configured.read_text().splitlines()[1:]
         assert flagged_body == configured_body
 
+    @pytest.mark.parametrize("command", ["meanfield-sweep", "exact-sweep"])
+    def test_config_unit_scales_grid_and_names_it(self, tmp_path, command):
+        config = tmp_path / "config.json"
+        config.write_text(json.dumps(
+            {"unit": "gamma", "gamma": 2, "delta_c_over_gamma": 5.0, "chi_over_gamma": -0.25}
+        ))
+        grid = ["--omega-from", "0", "--omega-to", "1", "--omega-step", "0.5"]
+        _, configured = run_to_file(
+            tmp_path, [command, "--config", str(config)] + grid, "config.csv"
+        )
+        _, flagged = run_to_file(
+            tmp_path,
+            [command, "--unit", "gamma", "--gamma", "2", "--delta-c", "5", "--chi", "-0.25"]
+            + grid,
+            "flags.csv",
+        )
+        lines = configured.read_text().splitlines()
+        meta = json.loads(lines[0][2:])
+        assert meta["grid"]["unit"] == "gamma"
+        assert sorted({float(row.split(",")[0]) for row in lines[2:]}) == [0.0, 1.0, 2.0]
+        assert configured.read_bytes() == flagged.read_bytes()
+
 
 class TestUsageErrors:
     def test_empty_grid_exits_two_without_file(self, tmp_path, capsys):

@@ -203,6 +203,12 @@ class TestSweep:
         with pytest.raises(InvalidParams):
             exact_drive_point(bistable_params, -0.5)
 
+    @pytest.mark.parametrize("omega", [True, "2.0", math.nan])
+    def test_non_numeric_drive_rejected(self, bistable_params, omega):
+        # a bool or str drive must not run as 1.0 or 2.0
+        with pytest.raises(InvalidParams):
+            exact_drive_point(bistable_params, omega)
+
 
 def test_amplitude_moment_requires_wavefunction_support(bistable_params):
     wf = wavefunction_linear(bistable_params)

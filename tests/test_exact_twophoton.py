@@ -78,6 +78,11 @@ class TestWavefunctionRoutes:
         )
         assert g20 == pytest.approx(refs["twophoton_reference_omega0"]["g2"], rel=1e-12)
 
+    @pytest.mark.parametrize("delta_c", [True, "-1.0"])
+    def test_scan_point_refuses_non_numeric_detuning(self, twophoton_params, delta_c):
+        with pytest.raises(InvalidParams):
+            scan_point(twophoton_params, delta_c)
+
     def test_undriven_recursion_kills_odd_levels(self, twophoton_params):
         wf = wavefunction_via_three_term(twophoton_params.replace(omega=0.0))
         for m in range(1, wf.truncation + 1, 2):

@@ -15,6 +15,7 @@ from kerrsteady.errors import InvalidParams, UnsupportedModel
 from kerrsteady.meanfield import (
     bistable_window,
     classify_stability,
+    drive_point_branches,
     photon_number_branches,
     sweep_drive,
 )
@@ -200,3 +201,9 @@ class TestSweep:
             sweep_drive(drive_family(0.0), [-1.0])
         with pytest.raises(InvalidParams):
             sweep_drive(drive_family(0.0), [float("nan")])
+
+    @pytest.mark.parametrize("omega", [True, "2.0"])
+    def test_non_numeric_drive_rejected(self, omega):
+        # a bool or str drive must not run as 1.0 or 2.0
+        with pytest.raises(InvalidParams):
+            drive_point_branches(drive_family(0.0), omega)

@@ -2,6 +2,7 @@
 
 import math
 
+import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
@@ -27,6 +28,37 @@ def test_rejects_nonpositive_gamma():
 def test_rejects_negative_kappa():
     with pytest.raises(InvalidParams):
         ModelParams(delta_c=1.0, chi=1.0, omega=0.0, gamma=1.0, kappa=-0.1)
+
+
+@pytest.mark.parametrize(
+    "kw",
+    [
+        {"delta_c": True, "omega": True},
+        {"delta_c": True},
+        {"omega": False},
+        {"gamma": True},
+        {"kappa": False},
+        {"chi": "-0.25"},
+        {"gamma": "1"},
+        {"lambda_2ph": True},
+        {"lambda_2ph": "0.2"},
+    ],
+)
+def test_rejects_bool_and_str_rates(kw):
+    # bool is an int subclass and a str converts; neither may run as a number
+    base = {"delta_c": 5.0, "chi": -0.25, "omega": 4.0, "gamma": 1.0}
+    with pytest.raises(InvalidParams):
+        ModelParams(**{**base, **kw})
+
+
+def test_numpy_scalars_pass_as_rates():
+    p = ModelParams(
+        delta_c=np.float32(5.0), chi=np.float64(-0.25), omega=np.int64(4), gamma=1,
+        lambda_2ph=np.complex64(0.5 - 0.25j), kappa=np.float64(0.0),
+    )
+    assert (p.delta_c, p.chi, p.omega, p.gamma) == (5.0, -0.25, 4.0, 1.0)
+    assert type(p.omega) is float and type(p.lambda_2ph) is complex
+    assert p.lambda_2ph == 0.5 - 0.25j
 
 
 def test_replace_returns_new_frozen_instance():
