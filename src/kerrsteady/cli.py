@@ -26,7 +26,7 @@ from concurrent.futures import ProcessPoolExecutor
 from functools import partial
 
 from .errors import InvalidParams, KerrSteadyError
-from .exact_linear import _check_moment_orders, correlation_linear, exact_drive_point
+from .exact_linear import correlation_linear, exact_drive_point
 from .exact_twophoton import (
     correlation_twophoton,
     scan_point,
@@ -36,7 +36,7 @@ from .exact_twophoton import (
 from .keldysh_ops import build_generalized_hamiltonian_clq, steady_residual
 from .lindblad_oracle import adaptive_cutoff
 from .meanfield import drive_point_branches
-from .model import ModelParams, params_from_dict
+from .model import ModelParams, _check_moment_orders, params_from_dict
 
 _PARAM_FLAGS = (
     ("delta_c", "--delta-c", "cavity detuning"),
@@ -128,7 +128,10 @@ def _grid(start: float, stop: float, step: float, what: str) -> list[float]:
         raise _UsageError(f"{what} grid step must be > 0, got {step}")
     if stop < start:
         raise _UsageError(f"{what} grid is empty: from {start} to {stop}")
-    count = int(math.floor((stop - start) / step + 1e-9)) + 1
+    span = (stop - start) / step
+    if not math.isfinite(span):
+        raise _UsageError(f"{what} grid from {start} to {stop} by {step} has too many points")
+    count = int(math.floor(span + 1e-9)) + 1
     return [start + i * step for i in range(count)]
 
 
@@ -200,20 +203,25 @@ def _cmd_meanfield_sweep(args) -> int:
     return 0
 
 
+def _exact_sweep_row(params: ModelParams, l: int, k: int, omega: float) -> list:
+    """One exact-sweep row; a moment other than <a^dag a> adds its value."""
+    p = exact_drive_point(params, omega)
+    row = [p.omega, p.n, p.amplitude.real, p.amplitude.imag, p.g2]
+    if (l, k) != (1, 1):
+        extra = correlation_linear(params.replace(omega=p.omega), l, k).value
+        row += [extra.real, extra.imag]
+    return row
+
+
 def _cmd_exact_sweep(args) -> int:
     l, k = _moment_orders(args.l, args.k, "--l/--k")
     params, anchor, unit = _resolve_params(args)
     grid = _grid(args.omega_from, args.omega_to, args.omega_step, "omega")
     omegas = [g * anchor for g in grid]
-    points = _map_grid(partial(exact_drive_point, params), omegas, args.workers)
+    rows = _map_grid(partial(_exact_sweep_row, params, l, k), omegas, args.workers)
     header = ["omega", "n_exact", "re_a", "im_a", "g2"]
-    rows = [[p.omega, p.n, p.amplitude.real, p.amplitude.imag, p.g2] for p in points]
     if (l, k) != (1, 1):
         header += ["value_re", "value_im"]
-        at_points = [params.replace(omega=p.omega) for p in points]
-        extras = _map_grid(partial(correlation_linear, l=l, k=k), at_points, args.workers)
-        for row, extra in zip(rows, extras):
-            row += [extra.value.real, extra.value.imag]
     meta = {
         "command": "exact-sweep",
         "grid": {"from": args.omega_from, "to": args.omega_to, "step": args.omega_step,

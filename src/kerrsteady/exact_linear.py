@@ -32,13 +32,14 @@ from .errors import (
     NonConvergence,
     UnsupportedModel,
 )
-from .model import LinearDerived, ModelParams, derive_linear
+from .model import LinearDerived, ModelParams, _check_moment_orders, derive_linear
 from .specfun import _POLE_GUARD, hyp0f2, hyp0f2_ratio, pochhammer
 
 _TAIL_RUN = 3
+# relative squared-amplitude level below which a run of levels counts as tail
+_TAIL_TOL = 1e-16
 _NORM_XCHECK_TOL = 1e-8
 _MOMENT_XCHECK_TOL = 1e-9
-_MAX_MOMENT_ORDER = 16
 # adaptive amplitude ladders give up past this Fock index
 _MAX_TRUNCATION = 4096
 
@@ -163,22 +164,6 @@ def _package(betas: list[complex], converged: bool) -> SteadyWavefunction:
     )
 
 
-def _check_moment_orders(l: int, k: int) -> tuple[int, int]:
-    """Moment orders as Python ints; refuse all but integers in [0, _MAX_MOMENT_ORDER].
-
-    Python and numpy integers pass; bool, float and str orders are refused
-    rather than coerced, so 1.5 or True never runs as some other moment.
-    """
-    for order in (l, k):
-        if isinstance(order, bool) or not isinstance(order, (int, np.integer)):
-            raise InvalidParams(f"moment orders must be integers, got l={l!r}, k={k!r}")
-    if not (0 <= l <= _MAX_MOMENT_ORDER and 0 <= k <= _MAX_MOMENT_ORDER):
-        raise InvalidParams(
-            f"moment orders must lie in [0, {_MAX_MOMENT_ORDER}], got l={l}, k={k}"
-        )
-    return int(l), int(k)
-
-
 def _release_moment(
     value: complex, check: complex, l: int, k: int, truncation: int, routes: tuple[str, str]
 ) -> CorrelationResult:
@@ -204,23 +189,13 @@ def _real_photon_number(result: CorrelationResult) -> float:
     return value.real
 
 
-def wavefunction_linear(
-    params: ModelParams,
-    tail_tol: float = 1e-16,
-    max_truncation: int = _MAX_TRUNCATION,
-    truncation: int | None = None,
-) -> SteadyWavefunction:
+def wavefunction_linear(params: ModelParams, truncation: int | None = None) -> SteadyWavefunction:
     """Steady-state amplitude sequence for the linearly driven model.
 
     Parameters
     ----------
     params : ModelParams
         Must describe the linear model (no two-photon pump or loss).
-    tail_tol : float
-        Relative squared-amplitude level below which a run of
-        consecutive levels counts as a negligible tail.
-    max_truncation : int
-        Abort with NonConvergence past this Fock index.
     truncation : int, optional
         Compute exactly this many levels instead of stopping adaptively.
         Useful when a fixed-size vector is needed downstream; `converged`
@@ -228,6 +203,8 @@ def wavefunction_linear(
 
     Raises
     ------
+    NonConvergence
+        If the tail rule has not held by Fock index _MAX_TRUNCATION.
     CutoffTooSmall
         If a fixed truncation ends before the tail rule holds and the
         amplitude sum therefore misses the hypergeometric normalization.
@@ -239,7 +216,7 @@ def wavefunction_linear(
             "two-photon pump or loss present; use the two-photon solver"
         )
     derived = derive_linear(params)
-    wf = _package(*_raw_amplitudes(derived, tail_tol, max_truncation, truncation))
+    wf = _package(*_raw_amplitudes(derived, _TAIL_TOL, _MAX_TRUNCATION, truncation))
     norm_series = wf.norm_constant
     w = 2.0 * abs(derived.epsilon) ** 2
     norm_hyper = hyp0f2(derived.x.conjugate(), derived.x, w).value

@@ -38,9 +38,9 @@ from .errors import (
 )
 from .exact_linear import (
     _MAX_TRUNCATION,
+    _TAIL_TOL,
     CorrelationResult,
     SteadyWavefunction,
-    _check_moment_orders,
     _ladder,
     _package,
     _real_photon_number,
@@ -49,7 +49,7 @@ from .exact_linear import (
     correlation_linear,
     wavefunction_linear,
 )
-from .model import ModelParams, derive_twophoton
+from .model import ModelParams, _check_moment_orders, derive_twophoton
 from .specfun import _POLE_GUARD, hyp2f1_terminating
 
 # the cross-check covers the whole amplitude support: up to the truncation cap
@@ -144,12 +144,7 @@ def _spot_check_against_recursion(params: ModelParams, betas: list[complex]) -> 
             )
 
 
-def wavefunction_twophoton(
-    params: ModelParams,
-    tail_tol: float = 1e-16,
-    max_truncation: int = _MAX_TRUNCATION,
-    truncation: int | None = None,
-) -> SteadyWavefunction:
+def wavefunction_twophoton(params: ModelParams, truncation: int | None = None) -> SteadyWavefunction:
     """Steady-state amplitude sequence from the polynomial closed form.
 
     Falls back to the linear solver when the pump and two-photon loss are
@@ -159,23 +154,15 @@ def wavefunction_twophoton(
     call.
     """
     if params.lambda_2ph == 0 and params.kappa == 0.0:
-        return wavefunction_linear(
-            params,
-            tail_tol=tail_tol,
-            max_truncation=max_truncation,
-            truncation=truncation,
-        )
+        return wavefunction_linear(params, truncation=truncation)
     _require_twophoton(params)
-    betas, converged = _closed_form_amplitudes(params, tail_tol, max_truncation, truncation)
+    betas, converged = _closed_form_amplitudes(params, _TAIL_TOL, _MAX_TRUNCATION, truncation)
     _spot_check_against_recursion(params, betas)
     return _package(betas, converged)
 
 
 def wavefunction_via_three_term(
-    params: ModelParams,
-    tail_tol: float = 1e-16,
-    max_truncation: int = _MAX_TRUNCATION,
-    truncation: int | None = None,
+    params: ModelParams, truncation: int | None = None
 ) -> SteadyWavefunction:
     """Steady-state amplitude sequence from the three-term recursion.
 
@@ -187,7 +174,7 @@ def wavefunction_via_three_term(
     two-photon loss without a pump is refused, as in the closed form.
     """
     _require_twophoton(params)
-    betas, converged = _recursion_amplitudes(params, tail_tol, max_truncation, truncation)
+    betas, converged = _recursion_amplitudes(params, _TAIL_TOL, _MAX_TRUNCATION, truncation)
     return _package(betas, converged)
 
 

@@ -260,17 +260,8 @@ def q_grade_blocks(op: OperatorMatrix) -> dict[int, float]:
     return {int(d): peaks[shifts == d].max() for d in np.unique(shifts)}
 
 
-def embed_wavefunction(
-    wavefunction: SteadyWavefunction,
-    cutoffs: tuple[int, int],
-    basis: str = CL_Q,
-) -> np.ndarray:
-    """Amplitude sequence as a doubled-space vector in the quantum vacuum."""
-    if basis != CL_Q:
-        raise BasisMismatch(
-            "amplitude sequences live in the cl_q basis; convert operators "
-            "to cl_q instead of embedding in plus_minus"
-        )
+def embed_wavefunction(wavefunction: SteadyWavefunction, cutoffs: tuple[int, int]) -> np.ndarray:
+    """Amplitude sequence as a cl_q doubled-space vector in the quantum vacuum."""
     m1, m2 = _check_cutoffs(cutoffs)
     amps = wavefunction.amplitudes
     kept = amps[: m1 + 1]

@@ -33,7 +33,7 @@ from .errors import (
     NonConvergence,
     SingularSystem,
 )
-from .model import ModelParams
+from .model import ModelParams, _check_moment_orders
 
 if TYPE_CHECKING:
     import scipy.sparse as sp
@@ -41,6 +41,7 @@ if TYPE_CHECKING:
 _HERM_TOL = 1e-10
 _TRACE_TOL = 1e-10
 _EIG_SLACK = -1e-8
+# adaptive_cutoff starts at no lower cutoff and solves at no higher one
 _ADAPTIVE_START = 16
 _ADAPTIVE_CAP = 256
 
@@ -197,8 +198,7 @@ def correlation_from_rho(rho: DensityMatrix, l: int, k: int) -> complex:
     Demands l + k <= cutoff / 2 so the operator still acts well inside
     the truncated space.
     """
-    if l < 0 or k < 0:
-        raise InvalidParams(f"moment orders must be nonnegative, got l={l}, k={k}")
+    l, k = _check_moment_orders(l, k)
     if l + k > rho.cutoff / 2:
         raise CutoffTooSmall(
             f"moment order l+k={l + k} too large for cutoff {rho.cutoff}"
@@ -209,30 +209,27 @@ def correlation_from_rho(rho: DensityMatrix, l: int, k: int) -> complex:
 
 
 def adaptive_cutoff(
-    params: ModelParams,
-    observable: tuple[int, int] = (1, 1),
-    tol: float = 1e-8,
-    start: int = _ADAPTIVE_START,
-    cap: int = _ADAPTIVE_CAP,
+    params: ModelParams, observable: tuple[int, int] = (1, 1), tol: float = 1e-8
 ) -> tuple[int, complex]:
     """Double the cutoff until the observable stops moving.
 
     Returns (certified cutoff, observable value there).  The certificate
     for cutoff M is that doubling to 2M moves the value by less than the
     relative tolerance `tol`, so the smallest such M is reported together
-    with its own value.
+    with its own value.  The first cutoff is max(16, 2 (l + k)), as
+    correlation_from_rho needs l + k <= cutoff / 2.
 
-    Raises NonConvergence if the cap is reached without agreement.
+    Raises NonConvergence if no doubling up to cutoff _ADAPTIVE_CAP agrees.
     """
-    l, k = observable
-    prev = correlation_from_rho(steady_state_at(params, start), l, k)
-    m = start
-    while m < cap:
+    l, k = _check_moment_orders(*observable)
+    m = max(_ADAPTIVE_START, 2 * (l + k))
+    prev = correlation_from_rho(steady_state_at(params, m), l, k)
+    while 2 * m <= _ADAPTIVE_CAP:
         cur = correlation_from_rho(steady_state_at(params, 2 * m), l, k)
         if abs(cur - prev) <= tol * max(abs(cur), 1e-12):
             return m, prev
         prev = cur
         m *= 2
     raise NonConvergence(
-        f"observable a^dag^{l} a^{k} not converged at cutoff cap {cap}"
+        f"observable a^dag^{l} a^{k} not converged at cutoff cap {_ADAPTIVE_CAP}"
     )

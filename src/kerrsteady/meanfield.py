@@ -241,7 +241,9 @@ def sweep_drive(params: ModelParams, omega_grid) -> list[tuple[float, list[MeanF
     row layout is stable regardless of how many branches coexist, which
     is what the CSV writer and the window-detection tests key on.
     """
-    return [(float(om), drive_point_branches(params, om)) for om in omega_grid]
+    # ModelParams checks each entry first, so a non-numeric one raises InvalidParams
+    at_points = [params.replace(omega=om) for om in omega_grid]
+    return [(p.omega, drive_point_branches(p, p.omega)) for p in at_points]
 
 
 def bistable_window(params: ModelParams, omega_grid) -> tuple[float, float] | None:

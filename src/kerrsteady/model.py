@@ -26,6 +26,7 @@ from .errors import InvalidParams
 
 _RATES = ("delta_c", "chi", "omega", "gamma", "kappa")
 _ABS_KEYS = _RATES + ("lambda_re", "lambda_im")
+_MAX_MOMENT_ORDER = 16
 
 
 def _finite_real(name: str, value) -> float:
@@ -36,6 +37,22 @@ def _finite_real(name: str, value) -> float:
             or not math.isfinite(value):
         raise InvalidParams(f"{name} must be a finite real number, got {value!r}")
     return float(value)
+
+
+def _check_moment_orders(l, k) -> tuple[int, int]:
+    """Moment orders as Python ints; refuse all but integers in [0, _MAX_MOMENT_ORDER].
+
+    Python and numpy integers pass; bool, float and str orders are refused
+    rather than coerced, so 1.5 or True never runs as some other moment.
+    """
+    for order in (l, k):
+        if isinstance(order, bool) or not isinstance(order, (int, numbers.Integral)):
+            raise InvalidParams(f"moment orders must be integers, got l={l!r}, k={k!r}")
+    if not (0 <= l <= _MAX_MOMENT_ORDER and 0 <= k <= _MAX_MOMENT_ORDER):
+        raise InvalidParams(
+            f"moment orders must lie in [0, {_MAX_MOMENT_ORDER}], got l={l}, k={k}"
+        )
+    return int(l), int(k)
 
 
 @dataclass(frozen=True)

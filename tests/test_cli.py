@@ -158,6 +158,22 @@ class TestHappyPaths:
         assert float(row[4]) <= 1e-8
         assert row[5:] == ["64", "1"]
 
+    def test_high_order_validate_passes(self, tmp_path):
+        # l + k above 8 needs a first oracle cutoff above 16
+        manifest = tmp_path / "cases.json"
+        manifest.write_text(json.dumps([
+            {"id": "drive", "params": {"delta_c": 5, "chi": -0.25, "gamma": 1,
+                                       "omega": 1.5}, "l": 5, "k": 4},
+            {"id": "pair", "params": {"delta_c": -1.0, "chi": 1.0, "gamma": 0.1,
+                                      "omega": 0.1, "lambda_re": 0.2, "kappa": 0.1},
+             "l": 5, "k": 5},
+        ]))
+        code, target = run_to_file(tmp_path, ["validate", "--manifest", str(manifest)])
+        assert code == 0
+        rows = [row.split(",") for row in target.read_text().splitlines()[2:]]
+        assert [row[5:] for row in rows] == [["72", "1"], ["20", "1"]]
+        assert all(float(row[4]) <= 1e-9 for row in rows)
+
     def test_entry_point_smoke(self, tmp_path):
         target = tmp_path / "out.csv"
         proc = subprocess.run(
@@ -256,6 +272,16 @@ class TestUsageErrors:
                      "--omega-from", "0", "--omega-to", "1", "--omega-step", "0",
                      "-o", str(tmp_path / "never.csv")])
         assert code == 2
+
+    def test_unbounded_point_count_exits_two(self, tmp_path, capsys):
+        # (to - from) / step overflows to inf: a usage error, not a traceback
+        target = tmp_path / "never.csv"
+        code = main(["exact-sweep", "--delta-c", "5", "--chi", "-0.25", "--gamma", "1",
+                     "--omega-from", "0", "--omega-to", "1e300", "--omega-step", "1e-300",
+                     "-o", str(target)])
+        assert code == 2
+        assert not target.exists()
+        assert "too many points" in capsys.readouterr().err
 
     def test_config_and_flags_exclusive(self, tmp_path, capsys):
         config = tmp_path / "config.json"

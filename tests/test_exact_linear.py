@@ -7,6 +7,7 @@ inequalities any physical state must satisfy.
 
 import cmath
 import math
+import sys
 
 import numpy as np
 import pytest
@@ -84,9 +85,11 @@ class TestWavefunction:
         (wavefunction_twophoton, "twophoton_params"),
         (wavefunction_via_three_term, "twophoton_params"),
     ], ids=["linear", "twophoton", "three-term"])
-    def test_truncation_cap_raises(self, request, solver, point):
-        with pytest.raises(NonConvergence):
-            solver(request.getfixturevalue(point), max_truncation=8)
+    def test_truncation_cap_raises(self, request, monkeypatch, solver, point):
+        # each route reads the cap of its own module at call time
+        monkeypatch.setattr(sys.modules[solver.__module__], "_MAX_TRUNCATION", 8)
+        with pytest.raises(NonConvergence, match="Fock index 8"):
+            solver(request.getfixturevalue(point))
 
     def test_two_photon_params_rejected(self, twophoton_params):
         with pytest.raises(UnsupportedModel):

@@ -195,11 +195,6 @@ class TestEmbedding:
         with pytest.raises(CutoffTooSmall):
             embed_wavefunction(wf, (10, 3))
 
-    def test_refuses_plus_minus_embedding(self, bistable_params):
-        wf = wavefunction_linear(bistable_params)
-        with pytest.raises(BasisMismatch):
-            embed_wavefunction(wf, (wf.truncation, 3), basis="plus_minus")
-
     def test_interior_projector_bounds(self):
         mask = interior_projector((20, 4), 12)
         assert mask.sum() == 13 * 5

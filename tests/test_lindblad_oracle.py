@@ -13,7 +13,8 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from kerrsteady.errors import CutoffTooSmall, NonConvergence
+from kerrsteady import lindblad_oracle
+from kerrsteady.errors import CutoffTooSmall, InvalidParams, NonConvergence
 from kerrsteady.lindblad_oracle import (
     DensityMatrix,
     adaptive_cutoff,
@@ -143,6 +144,14 @@ class TestCorrelations:
         rho = DensityMatrix(entries=entries, cutoff=dim - 1)
         assert correlation_from_rho(rho, 1, 1) == pytest.approx(3.0, rel=1e-14)
 
+    @pytest.mark.parametrize("l, k", [(True, 1), (1.5, 1), ("1", 1), (1, -1), (17, 0)],
+                             ids=["bool", "float", "str", "negative", "above-16"])
+    def test_refuses_bad_moment_orders(self, l, k):
+        # the closed form's rule: integers in [0, 16], never coerced
+        rho = DensityMatrix(entries=np.eye(41, dtype=complex) / 41, cutoff=40)
+        with pytest.raises(InvalidParams):
+            correlation_from_rho(rho, l, k)
+
     def test_truncation_safety_guard(self):
         entries = np.zeros((5, 5), dtype=complex)
         entries[0, 0] = 1.0
@@ -158,12 +167,19 @@ class TestAdaptiveCutoff:
         assert cutoff == 16
         assert abs(value) < 1e-12
 
+    def test_first_cutoff_fits_the_moment(self):
+        p = ModelParams(delta_c=5.0, chi=-0.25, omega=0.0, gamma=1.0)
+        cutoff, value = adaptive_cutoff(p, observable=(5, 4), tol=1e-8)
+        assert cutoff == 18
+        assert abs(value) < 1e-12
+
     def test_weak_drive_converges_small(self):
         p = ModelParams(delta_c=5.0, chi=-0.25, omega=0.1, gamma=1.0)
         cutoff, value = adaptive_cutoff(p, observable=(1, 1), tol=1e-8)
         assert cutoff <= 32
         assert value.real > 0.0
 
-    def test_cap_raises(self, bistable_params):
-        with pytest.raises(NonConvergence):
-            adaptive_cutoff(bistable_params, observable=(1, 1), tol=1e-30, cap=32)
+    def test_cap_raises(self, monkeypatch, bistable_params):
+        monkeypatch.setattr(lindblad_oracle, "_ADAPTIVE_CAP", 32)
+        with pytest.raises(NonConvergence, match="cutoff cap 32"):
+            adaptive_cutoff(bistable_params, observable=(1, 1), tol=1e-30)

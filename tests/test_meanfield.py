@@ -202,6 +202,11 @@ class TestSweep:
         with pytest.raises(InvalidParams):
             sweep_drive(drive_family(0.0), [float("nan")])
 
+    def test_non_numeric_grid_entry_rejected(self):
+        # the entry is checked before anything converts it with float()
+        with pytest.raises(InvalidParams):
+            sweep_drive(drive_family(0.0), [0.5, "abc"])
+
     @pytest.mark.parametrize("omega", [True, "2.0"])
     def test_non_numeric_drive_rejected(self, omega):
         # a bool or str drive must not run as 1.0 or 2.0

@@ -3,14 +3,18 @@
 perfbench/tracing.py wraps kerrsteady from outside and looks up a few
 private names by string: lindblad_oracle.splu, the closed form's
 _spot_check_against_recursion, _recursion_amplitudes and the _XCHECK_*
-constants.  A rename in src/ would break only the benchmark's traced
-runs; this test makes it fail here first.
+constants.  Its per-call hooks also read arguments by position or name
+and fields of the results.  A rename or signature change in src/ would
+break only the benchmark's traced runs; these tests make it fail here
+first.
 """
 
+import json
 import pathlib
 
 import pytest
 
+from kerrsteady import cli
 from kerrsteady.exact_twophoton import _XCHECK_TOL, wavefunction_twophoton
 
 PERFBENCH = pathlib.Path(__file__).resolve().parent.parent / "perfbench"
@@ -44,3 +48,30 @@ def test_spot_gap_on_traced_reference_point(tracing, twophoton_params):
     assert params == twophoton_params
     gap = tracing._spot_gap(params, betas)
     assert 0.0 <= gap <= _XCHECK_TOL
+
+
+def test_layer_metrics_over_traced_cli_runs(tracing, tmp_path):
+    manifest = tmp_path / "cases.json"
+    manifest.write_text(json.dumps([
+        {"id": "drive", "params": {"delta_c": 5.0, "chi": -0.25, "gamma": 1.0,
+                                   "omega": 2.0}},
+        {"id": "pair", "params": {"delta_c": -1.0, "chi": 1.0, "gamma": 0.1,
+                                  "omega": 0.1, "lambda_re": 0.2, "kappa": 0.1}},
+    ]))
+    runs = [
+        ["validate", "--manifest", str(manifest)],
+        ["residual", "--delta-c", "5", "--chi", "-0.25", "--gamma", "1", "--omega", "4",
+         "--cutoff-cl", "60", "--cutoff-q", "4", "--interior", "50"],
+    ]
+    tracer = tracing.Tracer()
+    tracer.install()
+    try:
+        codes = [cli.main(args + ["-o", str(tmp_path / "out.txt")]) for args in runs]
+    finally:
+        tracer.uninstall()
+    assert codes == [0, 0]
+    metrics = tracing.layer_metrics(tracer.spans, 0, len(tracer.spans))
+    assert metrics["lindblad_oracle.solves"] > 0
+    assert metrics["exact_twophoton.wavefunction_twophoton.calls"] > 0
+    assert metrics["keldysh_ops.build_clq.busy_s"] > 0.0
+    assert 0.0 < metrics["keldysh_ops.residual_rel_max"] <= 1e-8
