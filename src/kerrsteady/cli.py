@@ -21,6 +21,7 @@ from __future__ import annotations
 import argparse
 import json
 import math
+import os
 import sys
 from concurrent.futures import ProcessPoolExecutor
 from functools import partial
@@ -171,7 +172,11 @@ def _moment_orders(l, k, where: str) -> tuple[int, int]:
 
 
 def _map_grid(task, items: list, workers: int) -> list:
-    if workers <= 1 or len(items) <= 1:
+    """Run task over items in order; the pool never outgrows the grid or the CPUs."""
+    if workers < 1:
+        raise _UsageError(f"--workers must be >= 1, got {workers}")
+    workers = min(workers, len(items), os.cpu_count() or 1)
+    if workers == 1:
         return [task(item) for item in items]
     with ProcessPoolExecutor(max_workers=workers) as pool:
         chunk = max(1, len(items) // (4 * workers))
@@ -272,6 +277,9 @@ def _cmd_residual(args) -> int:
 
 
 def _cmd_validate(args) -> int:
+    for flag, tol in (("--tol", args.tol), ("--oracle-tol", args.oracle_tol)):
+        if not 0.0 < tol < math.inf:
+            raise _UsageError(f"{flag} must be positive and finite, got {tol}")
     manifest = _load_json(args.manifest)
     if isinstance(manifest, dict):
         manifest = manifest.get("cases")
@@ -285,10 +293,7 @@ def _cmd_validate(args) -> int:
         params = params_from_dict(case["params"])
         l, k = _moment_orders(case.get("l", 1), case.get("k", 1), f"case {idx}")
         point_id = str(case.get("id", idx))
-        if params.is_two_photon:
-            exact = correlation_twophoton(params, l, k).value
-        else:
-            exact = correlation_linear(params, l, k).value
+        exact = correlation_twophoton(params, l, k).value
         cutoff, oracle = adaptive_cutoff(params, observable=(l, k), tol=args.oracle_tol)
         oracle = complex(oracle)
         diff = abs(exact - oracle)
@@ -325,7 +330,8 @@ def _build_parser() -> argparse.ArgumentParser:
                        help="write here instead of stdout")
         if workers:
             p.add_argument("--workers", type=int, default=1,
-                           help="worker processes for grid points (default 1)")
+                           help="worker processes for grid points (default 1; "
+                           "at most one per grid point and per CPU)")
 
     p = sub.add_parser("meanfield-sweep", help="semiclassical branches across a drive grid")
     _add_param_flags(p, ("delta_c", "chi", "gamma"))
@@ -365,9 +371,11 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--manifest", required=True, metavar="FILE",
                    help="JSON list of cases: {params, l, k, id}")
     p.add_argument("--tol", type=float, default=1e-6,
-                   help="relative disagreement that fails a case (default 1e-6)")
+                   help="relative disagreement that fails a case, positive and "
+                   "finite (default 1e-6)")
     p.add_argument("--oracle-tol", type=float, default=1e-8,
-                   help="oracle cutoff-doubling convergence tolerance (default 1e-8)")
+                   help="oracle cutoff-doubling convergence tolerance, positive "
+                   "and finite (default 1e-8)")
     add_common(p, workers=False)
     p.set_defaults(run=_cmd_validate)
 

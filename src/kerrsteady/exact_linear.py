@@ -211,7 +211,7 @@ def wavefunction_linear(params: ModelParams, truncation: int | None = None) -> S
     CrossCheckFailure
         If the two normalizations disagree in any other case.
     """
-    if params.is_two_photon or params.kappa != 0.0:
+    if params.is_two_photon:
         raise UnsupportedModel(
             "two-photon pump or loss present; use the two-photon solver"
         )
@@ -264,7 +264,7 @@ def correlation_linear(params: ModelParams, l: int, k: int) -> CorrelationResult
     the two drift apart.
     """
     l, k = _check_moment_orders(l, k)
-    if params.is_two_photon or params.kappa != 0.0:
+    if params.is_two_photon:
         raise UnsupportedModel(
             "two-photon pump or loss present; use the two-photon solver"
         )

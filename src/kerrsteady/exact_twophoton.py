@@ -153,7 +153,7 @@ def wavefunction_twophoton(params: ModelParams, truncation: int | None = None) -
     Every amplitude is checked against the three-term recursion on every
     call.
     """
-    if params.lambda_2ph == 0 and params.kappa == 0.0:
+    if not params.is_two_photon:
         return wavefunction_linear(params, truncation=truncation)
     _require_twophoton(params)
     betas, converged = _closed_form_amplitudes(params, _TAIL_TOL, _MAX_TRUNCATION, truncation)
@@ -190,7 +190,7 @@ def correlation_twophoton(params: ModelParams, l: int, k: int) -> CorrelationRes
     norm term, so the route stays in the double range at any truncation.
     """
     l, k = _check_moment_orders(l, k)
-    if params.lambda_2ph == 0 and params.kappa == 0.0:
+    if not params.is_two_photon:
         return correlation_linear(params, l, k)
     wf = wavefunction_twophoton(params)
     value = amplitude_moment(wf, l, k)

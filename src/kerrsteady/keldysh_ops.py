@@ -15,15 +15,17 @@ The two bases are built by independent transcriptions and related only
 through the explicit mixing unitary, which makes the basis-equivalence
 test a real check rather than a tautology.
 
-The generators are assembled from scipy.sparse ladder operators, term
-by term in the order of the formulas below, and densified once per
-returned matrix, so every entry equals the one a dense matmul build
-gives.  They are stored dense and row-major (a column-major copy changes
-the last digits of the residual's matrix-vector product): the 16 d^2
-bytes of OperatorMatrix.entries, d = (c+1)(q+1), are the memory bound
-(36 MB at cutoffs (300, 4)).  The mixing unitary is still a dense expm.
-scipy is imported by the functions that use it, so importing this module
-loads numpy only.
+The generators are assembled from sparse kron lifts of the oracle's
+single-mode lindblad_oracle.fock_annihilation (and hamiltonian_fock for
+the two plus/minus copies), term by term in the order of the formulas
+below, and densified once per returned matrix, so every entry equals
+the one a dense matmul build gives.  They are stored dense and row-major
+(a column-major copy changes the last digits of the residual's
+matrix-vector product): the 16 d^2 bytes of OperatorMatrix.entries,
+d = (c+1)(q+1), are the memory bound (36 MB at cutoffs (300, 4)).  The
+mixing unitary's generator is lifted the same way and densified once
+for a dense expm.  scipy is imported by the functions that use it, so
+importing this module loads numpy only.
 """
 
 from __future__ import annotations
@@ -36,7 +38,7 @@ import numpy as np
 
 from .errors import BasisMismatch, CutoffTooSmall, InvalidParams
 from .exact_linear import SteadyWavefunction
-from .lindblad_oracle import hamiltonian_fock
+from .lindblad_oracle import fock_annihilation, hamiltonian_fock
 from .model import ModelParams
 
 if TYPE_CHECKING:
@@ -87,28 +89,14 @@ def _check_cutoffs(cutoffs: tuple[int, int]) -> tuple[int, int]:
 
 
 def _annihilators(cutoffs: tuple[int, int]) -> tuple[sp.csr_matrix, sp.csr_matrix]:
-    """Sparse annihilation operators of both modes on the doubled space."""
+    """Both modes' fock_annihilation ladders, lifted sparse to the doubled space."""
     import scipy.sparse as sp
 
     m1, m2 = _check_cutoffs(cutoffs)
-
-    def ladder(m: int) -> sp.csr_matrix:
-        return sp.diags(np.sqrt(np.arange(1.0, m + 1.0)), 1, format="csr", dtype=complex)
-
     return (
-        sp.kron(ladder(m1), sp.identity(m2 + 1, dtype=complex), format="csr"),
-        sp.kron(sp.identity(m1 + 1, dtype=complex), ladder(m2), format="csr"),
+        sp.kron(fock_annihilation(m1), sp.identity(m2 + 1, dtype=complex), format="csr"),
+        sp.kron(sp.identity(m1 + 1, dtype=complex), fock_annihilation(m2), format="csr"),
     )
-
-
-def mode_annihilation(cutoffs: tuple[int, int], mode: int) -> np.ndarray:
-    """Annihilation operator of one mode, lifted to the doubled space."""
-    first, second = _annihilators(cutoffs)
-    if mode == 0:
-        return first.toarray(order="C")
-    if mode == 1:
-        return second.toarray(order="C")
-    raise InvalidParams(f"mode must be 0 or 1, got {mode}")
 
 
 def _clq_parts(
@@ -216,14 +204,11 @@ def mixing_unitary(cutoffs: tuple[int, int]) -> np.ndarray:
     from scipy.linalg import expm
 
     m1, m2 = _check_cutoffs(cutoffs)
-    b1 = mode_annihilation((m1, m2), 0)
-    b2 = mode_annihilation((m1, m2), 1)
-    parity2 = np.kron(
-        np.eye(m1 + 1, dtype=complex),
-        np.diag((-1.0) ** np.arange(m2 + 1)).astype(complex),
-    )
-    rotation = expm((math.pi / 4.0) * (b1.conj().T @ b2 - b1 @ b2.conj().T))
-    return parity2 @ rotation
+    b1, b2 = _annihilators((m1, m2))
+    w = expm((math.pi / 4.0) * (b1.conj().T @ b2 - b1 @ b2.conj().T).toarray(order="C"))
+    # the parity flip: negate the rows of odd second-mode level
+    w[np.tile(np.arange(m2 + 1) % 2 == 1, m1 + 1)] *= -1.0
+    return w
 
 
 def convert_basis(op: OperatorMatrix, target: str) -> OperatorMatrix:

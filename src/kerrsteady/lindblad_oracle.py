@@ -21,6 +21,7 @@ this module (and the CLI's grid commands) loads numpy only.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import TYPE_CHECKING
 
@@ -219,9 +220,12 @@ def adaptive_cutoff(
     with its own value.  The first cutoff is max(16, 2 (l + k)), as
     correlation_from_rho needs l + k <= cutoff / 2.
 
-    Raises NonConvergence if no doubling up to cutoff _ADAPTIVE_CAP agrees.
+    Raises InvalidParams unless 0 < tol < inf, and NonConvergence if no
+    doubling up to cutoff _ADAPTIVE_CAP agrees.
     """
     l, k = _check_moment_orders(*observable)
+    if not 0.0 < tol < math.inf:
+        raise InvalidParams(f"tol must be positive and finite, got {tol}")
     m = max(_ADAPTIVE_START, 2 * (l + k))
     prev = correlation_from_rho(steady_state_at(params, m), l, k)
     while 2 * m <= _ADAPTIVE_CAP:

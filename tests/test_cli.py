@@ -13,6 +13,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from kerrsteady import cli
 from kerrsteady.cli import main
 from kerrsteady.keldysh_ops import build_generalized_hamiltonian_clq, steady_residual
 from kerrsteady.exact_linear import amplitude_moment
@@ -44,6 +45,31 @@ def run_to_file(tmp_path, args, name="out.csv"):
     target = tmp_path / name
     code = main(args + ["-o", str(target)])
     return code, target
+
+
+@pytest.fixture
+def pool_sizes(monkeypatch):
+    """Replace the process pool by a recorder that runs every task here.
+
+    Returns the list of pool sizes requested; no process is started.
+    """
+    sizes = []
+
+    class SerialPool:
+        def __init__(self, max_workers):
+            sizes.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, items, chunksize=1):
+            return list(map(fn, items))
+
+    monkeypatch.setattr(cli, "ProcessPoolExecutor", SerialPool)
+    return sizes
 
 
 class TestHappyPaths:
@@ -211,6 +237,26 @@ class TestDeterminism:
         _, parallel = run_to_file(tmp_path, args + ["--workers", "2"], "w2.csv")
         assert serial.read_bytes() == parallel.read_bytes()
 
+    @pytest.mark.parametrize("omega_to,workers,cpus,want", [
+        ("0.5", "100000", 4, [2]),
+        ("8", "100000", 4, [4]),
+        ("8", "3", 4, [3]),
+        ("8", "100000", None, []),
+        ("0", "2", 4, []),
+    ], ids=["grid-bound", "cpu-bound", "as-asked", "cpu-count-unknown", "one-point"])
+    def test_pool_never_outgrows_grid_or_cpus(
+        self, tmp_path, monkeypatch, pool_sizes, omega_to, workers, cpus, want
+    ):
+        monkeypatch.setattr(cli.os, "cpu_count", lambda: cpus)
+        args = EXACT_ARGS[:-6] + ["--omega-from", "0", "--omega-to", omega_to,
+                                  "--omega-step", "0.5"]
+        _, serial = run_to_file(tmp_path, args + ["--workers", "1"], "w1.csv")
+        assert pool_sizes == []
+        code, pooled = run_to_file(tmp_path, args + ["--workers", workers], "wn.csv")
+        assert code == 0
+        assert pool_sizes == want
+        assert pooled.read_bytes() == serial.read_bytes()
+
     def test_seventeen_digit_floats_round_trip(self, tmp_path):
         _, target = run_to_file(tmp_path, EXACT_ARGS)
         lines = target.read_text().splitlines()
@@ -300,6 +346,42 @@ class TestUsageErrors:
         assert code == 2
         assert not target.exists()
         assert "unit must be positive" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("command", [MEANFIELD_ARGS, EXACT_ARGS, SCAN_ARGS],
+                             ids=["meanfield-sweep", "exact-sweep", "resonance-scan"])
+    @pytest.mark.parametrize("workers", ["0", "-1"])
+    def test_nonpositive_workers_exits_two(self, tmp_path, capsys, pool_sizes,
+                                           command, workers):
+        target = tmp_path / "never.csv"
+        code = main(command + ["--workers", workers, "-o", str(target)])
+        assert code == 2
+        assert not target.exists()
+        assert pool_sizes == []
+        assert "--workers must be >= 1" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("flag,value", [
+        ("--oracle-tol", "inf"), ("--oracle-tol", "nan"), ("--oracle-tol", "0"),
+        ("--oracle-tol", "-1"), ("--tol", "inf"), ("--tol", "nan"), ("--tol", "0"),
+        ("--tol", "-1"),
+    ])
+    def test_meaningless_validate_tolerance_exits_two(
+        self, tmp_path, capsys, monkeypatch, flag, value
+    ):
+        def no_case(*args, **kwargs):
+            raise AssertionError("a case ran before the tolerances were checked")
+
+        monkeypatch.setattr(cli, "correlation_twophoton", no_case)
+        monkeypatch.setattr(cli, "adaptive_cutoff", no_case)
+        manifest = tmp_path / "cases.json"
+        manifest.write_text(json.dumps([
+            {"params": {"delta_c": 5.0, "chi": -0.25, "gamma": 1.0, "omega": 2.0}},
+        ]))
+        target = tmp_path / "never.csv"
+        code = main(["validate", "--manifest", str(manifest), flag, value,
+                     "-o", str(target)])
+        assert code == 2
+        assert not target.exists()
+        assert f"{flag} must be positive and finite" in capsys.readouterr().err
 
     def test_missing_config_file(self, tmp_path):
         code = main(["meanfield-sweep", "--config", str(tmp_path / "absent.json"),

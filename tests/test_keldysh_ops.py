@@ -23,30 +23,40 @@ from kerrsteady.keldysh_ops import (
     hamiltonian_parts_clq,
     interior_projector,
     mixing_unitary,
-    mode_annihilation,
     q_grade_blocks,
     steady_residual,
 )
+from kerrsteady.lindblad_oracle import fock_annihilation
 from kerrsteady.model import ModelParams, params_from_dict
 
 from conftest import DATA_DIR, as_complex, total_photon_mask
 
 
+def lifted_ladders(cutoffs):
+    """Both modes' fock_annihilation ladders, lifted densely to the doubled space."""
+    m1, m2 = cutoffs
+    return (
+        np.kron(fock_annihilation(m1), np.eye(m2 + 1)),
+        np.kron(np.eye(m1 + 1), fock_annihilation(m2)),
+    )
+
+
 class TestModeOperators:
     def test_single_mode_ladder(self):
         lower = [[0.0, 1.0], [0.0, 0.0]]
-        assert np.array_equal(mode_annihilation((1, 1), 0), np.kron(lower, np.eye(2)))
-        assert np.array_equal(mode_annihilation((1, 1), 1), np.kron(np.eye(2), lower))
+        assert np.array_equal(fock_annihilation(1), lower)
+        first, second = lifted_ladders((1, 1))
+        assert np.array_equal(first, np.kron(lower, np.eye(2)))
+        assert np.array_equal(second, np.kron(np.eye(2), lower))
 
     def test_commutator_is_identity_below_edge(self):
-        a = mode_annihilation((5, 3), 0)
+        a, _ = lifted_ladders((5, 3))
         comm = a @ a.conj().T - a.conj().T @ a
         want = np.kron(np.diag([1.0, 1.0, 1.0, 1.0, 1.0, -5.0]), np.eye(4))
         assert np.allclose(comm, want, atol=1e-14)
 
     def test_cross_mode_commutator_vanishes(self):
-        acl = mode_annihilation((4, 3), 0)
-        aq = mode_annihilation((4, 3), 1)
+        acl, aq = lifted_ladders((4, 3))
         assert np.array_equal(acl @ aq - aq @ acl, np.zeros_like(acl))
         assert np.array_equal(
             acl @ aq.conj().T - aq.conj().T @ acl, np.zeros_like(acl)
@@ -54,17 +64,17 @@ class TestModeOperators:
 
     def test_basis_tags_and_names(self):
         for tag in ("cl_q", "plus_minus"):
-            op = OperatorMatrix(mode_annihilation((3, 2), 1), tag, (3, 2))
+            op = OperatorMatrix(lifted_ladders((3, 2))[1], tag, (3, 2))
             assert op.basis_tag == tag
             assert op.dim == 12
 
-    def test_shape_validation(self):
+    def test_shape_validation(self, bistable_params):
         with pytest.raises(InvalidParams):
             OperatorMatrix(np.zeros((3, 3), dtype=complex), "cl_q", (1, 1))
         with pytest.raises(InvalidParams):
             OperatorMatrix(np.zeros((4, 4), dtype=complex), "diagonal", (1, 1))
         with pytest.raises(InvalidParams):
-            mode_annihilation((0, 3), 0)
+            build_generalized_hamiltonian_clq(bistable_params, (0, 3))
 
 
 class TestGeneratorStructure:
@@ -114,9 +124,10 @@ class TestGeneratorStructure:
         assert set(q_grade_blocks(down)) <= {-1, 0}
 
     def test_q_grade_blocks_of_ladders(self):
-        aq = OperatorMatrix(mode_annihilation((6, 3), 1), "cl_q", (6, 3))
+        first, second = lifted_ladders((6, 3))
+        aq = OperatorMatrix(second, "cl_q", (6, 3))
         aqd = OperatorMatrix(aq.entries.conj().T, "cl_q", (6, 3))
-        acl = OperatorMatrix(mode_annihilation((6, 3), 0), "cl_q", (6, 3))
+        acl = OperatorMatrix(first, "cl_q", (6, 3))
         assert q_grade_blocks(aq) == {-1: np.sqrt(3.0)}
         assert q_grade_blocks(aqd) == {1: np.sqrt(3.0)}
         assert q_grade_blocks(acl) == {0: np.sqrt(6.0)}
@@ -157,6 +168,27 @@ class TestBasisEquivalence:
     def test_mixing_unitary_is_unitary(self):
         w = mixing_unitary((6, 4))
         assert np.allclose(w @ w.conj().T, np.eye(w.shape[0]), atol=1e-12)
+
+    @pytest.mark.parametrize("cutoffs", [(5, 3), (6, 4)])
+    def test_mixing_unitary_matches_dense_construction(self, cutoffs):
+        """Equal in value to the all-dense construction of the same rotation.
+
+        Dense kron ladders, a dense expm of the beam-splitter generator,
+        then the second-mode parity applied as a dense matrix product.
+        mixing_unitary forms the generator sparse and flips the signs of
+        the odd-parity rows in place, so only the signs of zeros may
+        differ, which np.array_equal ignores.
+        """
+        from scipy.linalg import expm
+
+        m1, m2 = cutoffs
+        b1, b2 = lifted_ladders(cutoffs)
+        parity2 = np.kron(
+            np.eye(m1 + 1, dtype=complex),
+            np.diag((-1.0) ** np.arange(m2 + 1)).astype(complex),
+        )
+        rotation = expm((np.pi / 4.0) * (b1.conj().T @ b2 - b1 @ b2.conj().T))
+        assert np.array_equal(mixing_unitary(cutoffs), parity2 @ rotation)
 
     @pytest.mark.parametrize("model", ["linear", "twophoton"])
     def test_transform_matches_on_complete_sectors(

@@ -8,6 +8,8 @@ matrix-product evaluation, and the standard density-matrix invariants on
 every solved steady state.
 """
 
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given
@@ -183,3 +185,13 @@ class TestAdaptiveCutoff:
         monkeypatch.setattr(lindblad_oracle, "_ADAPTIVE_CAP", 32)
         with pytest.raises(NonConvergence, match="cutoff cap 32"):
             adaptive_cutoff(bistable_params, observable=(1, 1), tol=1e-30)
+
+    @pytest.mark.parametrize("tol", [0.0, -1.0, math.nan, math.inf])
+    def test_refuses_meaningless_tol(self, monkeypatch, bistable_params, tol):
+        # inf certifies the first cutoff unseen; the others can never certify
+        def no_solve(*args):
+            raise AssertionError("solved before the tolerance was checked")
+
+        monkeypatch.setattr(lindblad_oracle, "steady_state_at", no_solve)
+        with pytest.raises(InvalidParams, match="tol must be positive and finite"):
+            adaptive_cutoff(bistable_params, observable=(1, 1), tol=tol)

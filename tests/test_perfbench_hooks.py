@@ -4,7 +4,8 @@ perfbench/tracing.py wraps kerrsteady from outside and looks up a few
 private names by string: lindblad_oracle.splu, the closed form's
 _spot_check_against_recursion, _recursion_amplitudes and the _XCHECK_*
 constants.  Its per-call hooks also read arguments by position or name
-and fields of the results.  A rename or signature change in src/ would
+and fields of the results, and perfbench/workloads.py's basis check
+calls the doubled-space builders and convert_basis by module attribute.  A rename or signature change in src/ would
 break only the benchmark's traced runs; these tests make it fail here
 first.
 """
@@ -75,3 +76,20 @@ def test_layer_metrics_over_traced_cli_runs(tracing, tmp_path):
     assert metrics["exact_twophoton.wavefunction_twophoton.calls"] > 0
     assert metrics["keldysh_ops.build_clq.busy_s"] > 0.0
     assert 0.0 < metrics["keldysh_ops.residual_rel_max"] <= 1e-8
+
+
+def test_doubled_space_metrics_over_traced_basis_check(tracing):
+    import workloads
+
+    models = [dict(workloads._LINEAR, omega=4.0), workloads._TWOPHOTON]
+    tracer = tracing.Tracer()
+    tracer.install()
+    try:
+        reports = [json.loads(workloads.basis_check(p, [12, 4])) for p in models]
+    finally:
+        tracer.uninstall()
+    metrics = tracing.layer_metrics(tracer.spans, 0, len(tracer.spans))
+    assert metrics["keldysh_ops.mixing_unitary.busy_s"] > 0.0
+    assert metrics["keldysh_ops.convert_basis.busy_s"] > 0.0
+    assert metrics["keldysh_ops.dense_bytes"] > 0
+    assert all(r["max_gap"] <= workloads._BASIS_TOL for r in reports)
