@@ -122,7 +122,17 @@ def _resolve_params(args, inject: dict | None = None) -> tuple[ModelParams, floa
     return params, getattr(params, unit), unit
 
 
-def _grid(start: float, stop: float, step: float, what: str) -> list[float]:
+def _add_grid_flags(parser: argparse.ArgumentParser, axis: str, what: str) -> None:
+    """A grid command's --AXIS-from/--AXIS-to/--AXIS-step flags, walked by _grid."""
+    for end in ("from", "to", "step"):
+        parser.add_argument(f"--{axis}-{end}", type=float, required=True)
+    parser.set_defaults(grid_axis=(axis, what))
+
+
+def _grid(args, anchor: float, unit: str) -> tuple[list[float], dict]:
+    """Absolute grid points (grid units times anchor) and the metadata's "grid" entry."""
+    axis, what = args.grid_axis
+    start, stop, step = (getattr(args, f"{axis}_{end}") for end in ("from", "to", "step"))
     if not all(math.isfinite(v) for v in (start, stop, step)):
         raise _UsageError(f"{what} grid bounds must be finite")
     if step <= 0.0:
@@ -133,7 +143,8 @@ def _grid(start: float, stop: float, step: float, what: str) -> list[float]:
     if not math.isfinite(span):
         raise _UsageError(f"{what} grid from {start} to {stop} by {step} has too many points")
     count = int(math.floor(span + 1e-9)) + 1
-    return [start + i * step for i in range(count)]
+    points = [(start + i * step) * anchor for i in range(count)]
+    return points, {"from": start, "to": stop, "step": step, "unit": unit}
 
 
 def _fmt(value) -> str:
@@ -185,15 +196,9 @@ def _map_grid(task, items: list, workers: int) -> list:
 
 def _cmd_meanfield_sweep(args) -> int:
     params, anchor, unit = _resolve_params(args)
-    grid = _grid(args.omega_from, args.omega_to, args.omega_step, "omega")
-    omegas = [g * anchor for g in grid]
+    omegas, grid = _grid(args, anchor, unit)
     per_point = _map_grid(partial(drive_point_branches, params), omegas, args.workers)
-    meta = {
-        "command": "meanfield-sweep",
-        "grid": {"from": args.omega_from, "to": args.omega_to, "step": args.omega_step,
-                 "unit": unit},
-        "params": params.to_dict(),
-    }
+    meta = {"command": "meanfield-sweep", "grid": grid, "params": params.to_dict()}
     rows = [
         [omega, idx, branch.n, branch.a0.real, branch.a0.imag,
          bool(branch.stable), branch.degenerate]
@@ -221,19 +226,13 @@ def _exact_sweep_row(params: ModelParams, l: int, k: int, omega: float) -> list:
 def _cmd_exact_sweep(args) -> int:
     l, k = _moment_orders(args.l, args.k, "--l/--k")
     params, anchor, unit = _resolve_params(args)
-    grid = _grid(args.omega_from, args.omega_to, args.omega_step, "omega")
-    omegas = [g * anchor for g in grid]
+    omegas, grid = _grid(args, anchor, unit)
     rows = _map_grid(partial(_exact_sweep_row, params, l, k), omegas, args.workers)
     header = ["omega", "n_exact", "re_a", "im_a", "g2"]
     if (l, k) != (1, 1):
         header += ["value_re", "value_im"]
-    meta = {
-        "command": "exact-sweep",
-        "grid": {"from": args.omega_from, "to": args.omega_to, "step": args.omega_step,
-                 "unit": unit},
-        "moment": {"l": l, "k": k},
-        "params": params.to_dict(),
-    }
+    meta = {"command": "exact-sweep", "grid": grid, "moment": {"l": l, "k": k},
+            "params": params.to_dict()}
     _emit(args, lambda out: _write_table(out, meta, header, rows))
     return 0
 
@@ -242,19 +241,14 @@ def _cmd_resonance_scan(args) -> int:
     params, anchor, unit = _resolve_params(args, inject={"delta_c": 0.0})
     if params.chi == 0.0:
         raise _UsageError("resonance-scan needs a nonzero --chi")
-    grid = _grid(args.delta_from, args.delta_to, args.delta_step, "detuning")
-    pairs = _map_grid(partial(scan_point, params), [g * anchor for g in grid], args.workers)
+    deltas, grid = _grid(args, anchor, unit)
+    pairs = _map_grid(partial(scan_point, params), deltas, args.workers)
     peaks = set(strict_local_maxima([n for n, _ in pairs]))
     rows = [
-        [(g * anchor) / params.chi, n, g2, i in peaks]
-        for i, (g, (n, g2)) in enumerate(zip(grid, pairs))
+        [d / params.chi, n, g2, i in peaks]
+        for i, (d, (n, g2)) in enumerate(zip(deltas, pairs))
     ]
-    meta = {
-        "command": "resonance-scan",
-        "grid": {"from": args.delta_from, "to": args.delta_to, "step": args.delta_step,
-                 "unit": unit},
-        "params": params.to_dict(),
-    }
+    meta = {"command": "resonance-scan", "grid": grid, "params": params.to_dict()}
     _emit(args, lambda out: _write_table(
         out, meta, ["delta_c_over_chi", "n_exact", "g2", "is_peak"], rows
     ))
@@ -335,17 +329,13 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("meanfield-sweep", help="semiclassical branches across a drive grid")
     _add_param_flags(p, ("delta_c", "chi", "gamma"))
-    p.add_argument("--omega-from", type=float, required=True)
-    p.add_argument("--omega-to", type=float, required=True)
-    p.add_argument("--omega-step", type=float, required=True)
+    _add_grid_flags(p, "omega", "omega")
     add_common(p)
     p.set_defaults(run=_cmd_meanfield_sweep)
 
     p = sub.add_parser("exact-sweep", help="exact response across a drive grid")
     _add_param_flags(p, ("delta_c", "chi", "gamma"))
-    p.add_argument("--omega-from", type=float, required=True)
-    p.add_argument("--omega-to", type=float, required=True)
-    p.add_argument("--omega-step", type=float, required=True)
+    _add_grid_flags(p, "omega", "omega")
     p.add_argument("--l", type=int, default=1, help="extra moment order, creation side")
     p.add_argument("--k", type=int, default=1, help="extra moment order, annihilation side")
     add_common(p)
@@ -353,9 +343,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("resonance-scan", help="photon number across a detuning grid")
     _add_param_flags(p, ("chi", "gamma", "omega", "lambda_re", "lambda_im", "kappa"))
-    p.add_argument("--delta-from", type=float, required=True)
-    p.add_argument("--delta-to", type=float, required=True)
-    p.add_argument("--delta-step", type=float, required=True)
+    _add_grid_flags(p, "delta", "detuning")
     add_common(p)
     p.set_defaults(run=_cmd_resonance_scan)
 

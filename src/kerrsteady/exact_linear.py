@@ -1,9 +1,12 @@
 """Closed-form steady state of the coherently driven Kerr resonator.
 
-The steady state is encoded by a wavefunction-like amplitude sequence on
-the Fock ladder.  With the reduced drive ``epsilon`` and detuning-loss
-ratio ``x`` (see model.derive_linear), the unnormalized amplitudes obey
-the one-term recursion
+The steady state is the quantum-mode vacuum of the doubled-space
+generator (keldysh_ops), whose raising part maps q=0 into q=1 through a
+band: bidiagonal for the coherent drive, tridiagonal with the two-photon
+pump.  Forward substitution through that band is the package's one
+amplitude recursion, _recursion_amplitudes, whose three-term form is in
+exact_twophoton.  For the coherent drive, with the reduced drive
+``epsilon`` and detuning-loss ratio ``x`` (see model.derive_linear), it is
 
     beta_m = sqrt(2/m) * epsilon / (x + m - 1) * beta_{m-1},    beta_0 = 1,
 
@@ -32,7 +35,7 @@ from .errors import (
     NonConvergence,
     UnsupportedModel,
 )
-from .model import LinearDerived, ModelParams, _check_moment_orders, derive_linear
+from .model import ModelParams, _check_fock_size, _check_moment_orders, derive_linear
 from .specfun import _POLE_GUARD, hyp0f2, hyp0f2_ratio, pochhammer
 
 _TAIL_RUN = 3
@@ -113,6 +116,8 @@ def _ladder(
     and nowhere else, so a proven tail bound from the term ratio replaces
     the run rule in this one place.
     """
+    if truncation is not None:
+        truncation = _check_fock_size("truncation", truncation, 0)
     betas = [complex(1.0)]
     weights = [1.0]
     total = 1.0
@@ -131,22 +136,30 @@ def _ladder(
     return betas, _tail_rule_fired(weights, total, tail_tol)
 
 
-def _raw_amplitudes(
-    derived: LinearDerived,
+def _recursion_amplitudes(
+    params: ModelParams,
     tail_tol: float,
     max_truncation: int,
     truncation: int | None,
 ) -> tuple[list[complex], bool]:
-    """Run the recursion; return unnormalized amplitudes and convergence."""
-    eps, x = derived.epsilon, derived.x
+    """Unnormalized amplitudes by forward substitution through the generator's band."""
+    drive = -2j * math.sqrt(2.0) * params.omega
+    diag0 = 2.0 * params.delta_c - 1j * params.gamma
+    diag1 = 2.0 * params.chi - 1j * params.kappa
+    pump = 2.0 * params.lambda_2ph
+    scale0, scale1 = abs(diag0), abs(diag1)
 
     def step(m: int, betas: list[complex]) -> complex:
-        denom = x + (m - 1)
-        if abs(denom) < _POLE_GUARD * max(1.0, abs(x) + m):
+        coeff = diag0 + diag1 * (m - 1)
+        if abs(coeff) < _POLE_GUARD * (scale0 + scale1 * m):
             raise DenominatorPole(
-                f"amplitude recursion denominator x + {m - 1} vanishes at x={x!r}"
+                f"three-term recursion coefficient vanishes at index {m}"
             )
-        return betas[-1] * math.sqrt(2.0 / m) * eps / denom
+        rhs = drive * betas[m - 1]
+        # without the pump the band is bidiagonal
+        if pump and m >= 2:
+            rhs -= pump * math.sqrt(m - 1.0) * betas[m - 2]
+        return rhs / (math.sqrt(float(m)) * coeff)
 
     return _ladder(step, tail_tol, max_truncation, truncation)
 
@@ -203,6 +216,8 @@ def wavefunction_linear(params: ModelParams, truncation: int | None = None) -> S
 
     Raises
     ------
+    InvalidParams
+        If chi = 0 or truncation is not an integer >= 0.
     NonConvergence
         If the tail rule has not held by Fock index _MAX_TRUNCATION.
     CutoffTooSmall
@@ -215,8 +230,9 @@ def wavefunction_linear(params: ModelParams, truncation: int | None = None) -> S
         raise UnsupportedModel(
             "two-photon pump or loss present; use the two-photon solver"
         )
+    # derive_linear refuses chi = 0 (no 0F2 form) before the recursion, which would run there
     derived = derive_linear(params)
-    wf = _package(*_raw_amplitudes(derived, _TAIL_TOL, _MAX_TRUNCATION, truncation))
+    wf = _package(*_recursion_amplitudes(params, _TAIL_TOL, _MAX_TRUNCATION, truncation))
     norm_series = wf.norm_constant
     w = 2.0 * abs(derived.epsilon) ** 2
     norm_hyper = hyp0f2(derived.x.conjugate(), derived.x, w).value

@@ -6,15 +6,18 @@ hypergeometric polynomial,
 
     beta_m = (-lambda_disp)^m / sqrt(m!) * 2F1(-m, y; z; 2),
 
-which is the production route here.  The same amplitudes obey a
-three-term recursion,
+which is the production route here.  The same amplitudes obey the
+three-term recursion of exact_linear, the package's one amplitude
+recursion: forward substitution through the doubled-space generator's
+q=0 -> q=1 band, which is tridiagonal with the pump,
 
     [(2 delta_c - i gamma) + (2 chi - i kappa)(m - 1)] sqrt(m) beta_m
         = -2i sqrt(2) omega beta_{m-1} - 2 lambda_2ph sqrt(m-1) beta_{m-2},
 
-with beta_0 = 1, exposed as a separate operation so the two routes can
-be compared elementwise.  Every production call additionally verifies
-all its amplitudes against the recursion before releasing values.
+with beta_0 = 1.  It is exposed as a separate operation
+(wavefunction_via_three_term) so the two routes can be compared
+elementwise, and every production call verifies all its amplitudes
+against it before releasing values.
 
 Moments come from amplitude sums; there is no compact ratio form as in
 the linear model, so each moment is recomputed through the printed
@@ -31,7 +34,6 @@ import numpy as np
 
 from .errors import (
     CrossCheckFailure,
-    DenominatorPole,
     InvalidParams,
     NonConvergence,
     UnsupportedModel,
@@ -43,14 +45,15 @@ from .exact_linear import (
     SteadyWavefunction,
     _ladder,
     _package,
+    _recursion_amplitudes,
     _real_photon_number,
     _release_moment,
     amplitude_moment,
     correlation_linear,
     wavefunction_linear,
 )
-from .model import ModelParams, _check_moment_orders, derive_twophoton
-from .specfun import _POLE_GUARD, hyp2f1_terminating
+from .model import ModelParams, _check_fock_size, _check_moment_orders, derive_twophoton
+from .specfun import hyp2f1_terminating
 
 # the cross-check covers the whole amplitude support: up to the truncation cap
 _XCHECK_MAX_INDEX = _MAX_TRUNCATION
@@ -64,32 +67,6 @@ def _require_twophoton(params: ModelParams) -> None:
             "two-photon loss without a two-photon pump is outside the "
             "closed-form family"
         )
-
-
-def _recursion_amplitudes(
-    params: ModelParams,
-    tail_tol: float,
-    max_truncation: int,
-    truncation: int | None,
-) -> tuple[list[complex], bool]:
-    """Forward three-term recursion for the unnormalized amplitudes."""
-    drive = -2j * math.sqrt(2.0) * params.omega
-    diag0 = 2.0 * params.delta_c - 1j * params.gamma
-    diag1 = 2.0 * params.chi - 1j * params.kappa
-    pump = 2.0 * params.lambda_2ph
-
-    def step(m: int, betas: list[complex]) -> complex:
-        coeff = diag0 + diag1 * (m - 1)
-        if abs(coeff) < _POLE_GUARD * (abs(diag0) + abs(diag1) * m):
-            raise DenominatorPole(
-                f"three-term recursion coefficient vanishes at index {m}"
-            )
-        rhs = drive * betas[m - 1]
-        if m >= 2:
-            rhs -= pump * math.sqrt(m - 1.0) * betas[m - 2]
-        return rhs / (math.sqrt(float(m)) * coeff)
-
-    return _ladder(step, tail_tol, max_truncation, truncation)
 
 
 def _closed_form_amplitudes(
@@ -168,10 +145,10 @@ def wavefunction_via_three_term(
 
     Independent evaluation route kept separate from the closed form so
     the two can be compared elementwise.  With the pump and two-photon
-    loss both absent the recursion degenerates term by term into the
-    linear model's one-term recursion, so that family is accepted here
-    (and produces the same amplitudes as wavefunction_linear); only
-    two-photon loss without a pump is refused, as in the closed form.
+    loss both absent the recursion is the linear model's, so that family
+    is accepted here (and produces exactly wavefunction_linear's
+    amplitudes); only two-photon loss without a pump is refused, as in
+    the closed form.
     """
     _require_twophoton(params)
     betas, converged = _recursion_amplitudes(params, _TAIL_TOL, _MAX_TRUNCATION, truncation)
@@ -236,8 +213,7 @@ class ResonancePrediction:
 
 def resonance_predictions(n_max: int, params: ModelParams) -> list[ResonancePrediction]:
     """Selection-rule table for resonance orders 1 through n_max."""
-    if n_max < 1:
-        raise InvalidParams(f"n_max must be >= 1, got {n_max}")
+    n_max = _check_fock_size("n_max", n_max, 1)
     out = []
     for order in range(1, n_max + 1):
         allowed = params.omega != 0.0 or (order % 2 == 0 and params.lambda_2ph != 0)

@@ -39,7 +39,7 @@ import numpy as np
 from .errors import BasisMismatch, CutoffTooSmall, InvalidParams
 from .exact_linear import SteadyWavefunction
 from .lindblad_oracle import fock_annihilation, hamiltonian_fock
-from .model import ModelParams
+from .model import ModelParams, _check_fock_size
 
 if TYPE_CHECKING:
     import scipy.sparse as sp
@@ -69,6 +69,7 @@ class OperatorMatrix:
     cutoffs: tuple[int, int]
 
     def __post_init__(self) -> None:
+        self.cutoffs = _check_cutoffs(self.cutoffs)
         if self.basis_tag not in _BASES:
             raise InvalidParams(f"unknown basis tag {self.basis_tag!r}")
         if self.entries.shape != (self.dim, self.dim):
@@ -82,10 +83,8 @@ class OperatorMatrix:
 
 
 def _check_cutoffs(cutoffs: tuple[int, int]) -> tuple[int, int]:
-    m1, m2 = int(cutoffs[0]), int(cutoffs[1])
-    if m1 < 1 or m2 < 1:
-        raise InvalidParams(f"mode cutoffs must be >= 1, got {cutoffs}")
-    return m1, m2
+    return (_check_fock_size("first-mode cutoff", cutoffs[0], 1),
+            _check_fock_size("second-mode cutoff", cutoffs[1], 1))
 
 
 def _annihilators(cutoffs: tuple[int, int]) -> tuple[sp.csr_matrix, sp.csr_matrix]:
@@ -140,18 +139,17 @@ def hamiltonian_parts_clq(
     level; the second never raises that level and kills any state in the
     quantum-mode vacuum.  Their sum is the full generator.
     """
-    m1, m2 = _check_cutoffs(cutoffs)
-    up, down = _clq_parts(params, (m1, m2))
+    up, down = _clq_parts(params, cutoffs)
     return (
-        OperatorMatrix(up.toarray(order="C"), CL_Q, (m1, m2)),
-        OperatorMatrix(down.toarray(order="C"), CL_Q, (m1, m2)),
+        OperatorMatrix(up.toarray(order="C"), CL_Q, cutoffs),
+        OperatorMatrix(down.toarray(order="C"), CL_Q, cutoffs),
     )
 
 
 def _pm_matrix(params: ModelParams, cutoffs: tuple[int, int]) -> np.ndarray:
     import scipy.sparse as sp
 
-    m1, m2 = cutoffs
+    m1, m2 = _check_cutoffs(cutoffs)
     hp = sp.kron(hamiltonian_fock(params, m1), sp.identity(m2 + 1, dtype=complex), format="csr")
     hm = sp.kron(sp.identity(m1 + 1, dtype=complex), hamiltonian_fock(params, m2), format="csr")
     ap, am = _annihilators(cutoffs)
@@ -175,9 +173,8 @@ def build_generalized_hamiltonian_clq(
     params: ModelParams, cutoffs: tuple[int, int]
 ) -> OperatorMatrix:
     """Full doubled-space generator in the classical/quantum basis."""
-    m1, m2 = _check_cutoffs(cutoffs)
-    up, down = _clq_parts(params, (m1, m2))
-    return OperatorMatrix((up + down).toarray(order="C"), CL_Q, (m1, m2))
+    up, down = _clq_parts(params, cutoffs)
+    return OperatorMatrix((up + down).toarray(order="C"), CL_Q, cutoffs)
 
 
 def build_generalized_hamiltonian_pm(
@@ -189,8 +186,7 @@ def build_generalized_hamiltonian_pm(
     cl_q transcription; the two builders are tied together only by
     mixing_unitary, which the basis-equivalence test exploits.
     """
-    m1, m2 = _check_cutoffs(cutoffs)
-    return OperatorMatrix(_pm_matrix(params, (m1, m2)), PLUS_MINUS, (m1, m2))
+    return OperatorMatrix(_pm_matrix(params, cutoffs), PLUS_MINUS, cutoffs)
 
 
 def mixing_unitary(cutoffs: tuple[int, int]) -> np.ndarray:
@@ -272,7 +268,8 @@ def interior_projector(
     from that mode's edge at any sensible cutoff.
     """
     m1, m2 = _check_cutoffs(cutoffs)
-    if interior_cut < 0 or interior_cut > m1 - _EDGE_MARGIN:
+    interior_cut = _check_fock_size("interior cut", interior_cut, 0)
+    if interior_cut > m1 - _EDGE_MARGIN:
         raise InvalidParams(
             f"interior cut {interior_cut} must lie in [0, {m1 - _EDGE_MARGIN}]"
         )

@@ -34,7 +34,7 @@ from .errors import (
     NonConvergence,
     SingularSystem,
 )
-from .model import ModelParams, _check_moment_orders
+from .model import ModelParams, _check_fock_size, _check_moment_orders
 
 if TYPE_CHECKING:
     import scipy.sparse as sp
@@ -90,8 +90,7 @@ class Liouvillian:
 
 def fock_annihilation(cutoff: int) -> np.ndarray:
     """Dense annihilation operator on the (cutoff+1)-level Fock space."""
-    if cutoff < 1:
-        raise InvalidParams(f"cutoff must be >= 1, got {cutoff}")
+    cutoff = _check_fock_size("cutoff", cutoff, 1)
     return np.diag(np.sqrt(np.arange(1.0, cutoff + 1.0)), 1).astype(complex)
 
 
@@ -117,6 +116,7 @@ def build_liouvillian(params: ModelParams, cutoff: int) -> Liouvillian:
     """
     import scipy.sparse as sp
 
+    cutoff = _check_fock_size("cutoff", cutoff, 1)
     d = cutoff + 1
     a = sp.csc_matrix(fock_annihilation(cutoff))
     h = sp.csc_matrix(hamiltonian_fock(params, cutoff))

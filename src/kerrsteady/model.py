@@ -39,15 +39,31 @@ def _finite_real(name: str, value) -> float:
     return float(value)
 
 
+def _is_integer(value) -> bool:
+    """True for Python and numpy integers; bool, float and str are not."""
+    # bool is an int subclass, so it is refused by name
+    return not isinstance(value, bool) and isinstance(value, (int, numbers.Integral))
+
+
+def _check_fock_size(name: str, value, lowest: int) -> int:
+    """A cutoff, truncation or other Fock-space size as a Python int.
+
+    All but integers >= lowest are refused rather than coerced, so 2.5 or
+    True never runs as some other size.
+    """
+    if not _is_integer(value) or value < lowest:
+        raise InvalidParams(f"{name} must be an integer >= {lowest}, got {value!r}")
+    return int(value)
+
+
 def _check_moment_orders(l, k) -> tuple[int, int]:
     """Moment orders as Python ints; refuse all but integers in [0, _MAX_MOMENT_ORDER].
 
     Python and numpy integers pass; bool, float and str orders are refused
     rather than coerced, so 1.5 or True never runs as some other moment.
     """
-    for order in (l, k):
-        if isinstance(order, bool) or not isinstance(order, (int, numbers.Integral)):
-            raise InvalidParams(f"moment orders must be integers, got l={l!r}, k={k!r}")
+    if not (_is_integer(l) and _is_integer(k)):
+        raise InvalidParams(f"moment orders must be integers, got l={l!r}, k={k!r}")
     if not (0 <= l <= _MAX_MOMENT_ORDER and 0 <= k <= _MAX_MOMENT_ORDER):
         raise InvalidParams(
             f"moment orders must lie in [0, {_MAX_MOMENT_ORDER}], got l={l}, k={k}"

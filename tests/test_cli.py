@@ -6,6 +6,7 @@ the golden tables in tests/data pin the byte-level format.
 """
 
 import json
+import os
 import subprocess
 import sys
 from pathlib import Path
@@ -39,6 +40,14 @@ RESIDUAL_ARGS = [
     "residual", "--delta-c", "5", "--chi", "-0.25", "--gamma", "1", "--omega", "4",
     "--cutoff-cl", "60", "--cutoff-q", "4", "--interior", "50",
 ]
+
+
+def run_python(args):
+    """A fresh interpreter that imports kerrsteady from where this one does."""
+    src = str(Path(cli.__file__).resolve().parents[1])
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    env = dict(os.environ, PYTHONPATH=path)
+    return subprocess.run([sys.executable] + args, capture_output=True, text=True, env=env)
 
 
 def run_to_file(tmp_path, args, name="out.csv"):
@@ -202,22 +211,16 @@ class TestHappyPaths:
 
     def test_entry_point_smoke(self, tmp_path):
         target = tmp_path / "out.csv"
-        proc = subprocess.run(
-            [sys.executable, "-m", "kerrsteady.cli"] + EXACT_ARGS + ["-o", str(target)],
-            capture_output=True,
-            text=True,
-        )
+        proc = run_python(["-m", "kerrsteady.cli"] + EXACT_ARGS + ["-o", str(target)])
         assert proc.returncode == 0, proc.stderr
         assert target.read_bytes() == (DATA_DIR / "golden_exact_sweep.csv").read_bytes()
 
     def test_import_leaves_scipy_unloaded(self):
         # the grid commands need numpy only; the oracle and the doubled
         # space import scipy when they run
-        proc = subprocess.run(
-            [sys.executable, "-c", "import sys, kerrsteady.cli; "
-             "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"],
-            capture_output=True,
-            text=True,
+        proc = run_python(
+            ["-c", "import sys, kerrsteady.cli; "
+             "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"]
         )
         assert proc.returncode == 0, proc.stderr
         assert proc.stdout.strip() == "[]"

@@ -91,6 +91,30 @@ class TestWavefunction:
         with pytest.raises(NonConvergence, match="Fock index 8"):
             solver(request.getfixturevalue(point))
 
+    @pytest.mark.parametrize("solver, point", [
+        (wavefunction_linear, "bistable_params"),
+        (wavefunction_twophoton, "bistable_params"),
+        (wavefunction_twophoton, "twophoton_params"),
+        (wavefunction_via_three_term, "twophoton_params"),
+    ], ids=["linear", "twophoton-delegating", "twophoton", "three-term"])
+    @pytest.mark.parametrize("truncation", [60.5, 60.0, True, -1, "60"])
+    def test_non_integer_truncation_refused(self, request, solver, point, truncation):
+        with pytest.raises(InvalidParams, match="truncation must be an integer"):
+            solver(request.getfixturevalue(point), truncation=truncation)
+
+    @pytest.mark.parametrize("solver, point", [
+        (wavefunction_linear, "bistable_params"),
+        (wavefunction_twophoton, "twophoton_params"),
+        (wavefunction_via_three_term, "twophoton_params"),
+    ], ids=["linear", "twophoton", "three-term"])
+    def test_numpy_integer_truncation_accepted(self, request, solver, point):
+        params = request.getfixturevalue(point)
+        wf = solver(params, truncation=np.int64(60))
+        assert type(wf.truncation) is int
+        np.testing.assert_array_equal(
+            wf.amplitudes, solver(params, truncation=60).amplitudes
+        )
+
     def test_two_photon_params_rejected(self, twophoton_params):
         with pytest.raises(UnsupportedModel):
             wavefunction_linear(twophoton_params)

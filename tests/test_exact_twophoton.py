@@ -154,7 +154,8 @@ class TestWavefunctionRoutes:
     def test_three_term_degenerates_to_linear(self, bistable_params):
         recur = wavefunction_via_three_term(bistable_params)
         direct = wavefunction_linear(bistable_params, truncation=recur.truncation)
-        np.testing.assert_allclose(recur.amplitudes, direct.amplitudes, rtol=1e-12)
+        # one recursion serves both models, so the amplitudes agree bit for bit
+        np.testing.assert_array_equal(recur.amplitudes, direct.amplitudes)
 
     def test_loss_without_pump_refused(self):
         p = ModelParams(delta_c=1.0, chi=1.0, omega=0.5, gamma=0.1, kappa=0.2)
@@ -256,6 +257,15 @@ class TestResonanceBookkeeping:
         ]
         with pytest.raises(InvalidParams):
             resonance_predictions(0, twophoton_params)
+
+    @pytest.mark.parametrize("n_max", [2.5, True, "3"])
+    def test_non_integer_order_count_refused(self, twophoton_params, n_max):
+        with pytest.raises(InvalidParams, match="n_max must be an integer"):
+            resonance_predictions(n_max, twophoton_params)
+
+    def test_numpy_integer_order_count_accepted(self, twophoton_params):
+        table = resonance_predictions(np.int64(3), twophoton_params)
+        assert table == resonance_predictions(3, twophoton_params)
 
     def test_strict_local_maxima_rules(self):
         assert strict_local_maxima([0.0, 1.0, 0.0]) == (1,)

@@ -12,7 +12,7 @@ import numpy as np
 import pytest
 
 from kerrsteady.errors import BasisMismatch, CutoffTooSmall, InvalidParams
-from kerrsteady.exact_linear import wavefunction_linear
+from kerrsteady.exact_linear import _recursion_amplitudes, wavefunction_linear
 from kerrsteady.exact_twophoton import wavefunction_twophoton
 from kerrsteady.keldysh_ops import (
     OperatorMatrix,
@@ -134,6 +134,28 @@ class TestGeneratorStructure:
         zero = OperatorMatrix(np.zeros((28, 28), dtype=complex), "cl_q", (6, 3))
         assert q_grade_blocks(zero) == {}
 
+    @pytest.mark.parametrize("params, offsets", [
+        (ModelParams(delta_c=5.0, chi=-0.25, omega=4.0, gamma=1.0), {0, 1}),
+        (ModelParams(delta_c=-1.0, chi=1.0, omega=0.1, gamma=0.1,
+                     lambda_2ph=0.2, kappa=0.1), {-1, 0, 1}),
+        (ModelParams(delta_c=-2.0, chi=0.5, omega=0.7, gamma=0.3,
+                     lambda_2ph=0.15 - 0.25j, kappa=0.05), {-1, 0, 1}),
+    ], ids=["linear", "twophoton", "complex-lambda"])
+    def test_recursion_solves_the_raising_band(self, params, offsets):
+        # The steady state is the quantum-mode vacuum, and only the raising
+        # part maps it anywhere: into q=1, through the block with rows
+        # (n, q=1) and columns (m, q=0).  That block is a band, and the
+        # amplitude recursion is forward substitution through it.
+        top = 40
+        up, _ = hamiltonian_parts_clq(params, (top, 1))
+        band = up.entries[1::2, 0::2]
+        rows, cols = np.nonzero(band)
+        assert set(cols - rows) == offsets
+        betas, _ = _recursion_amplitudes(params, 0.0, top, top)
+        terms = band[:top] * np.asarray(betas)
+        scale = np.abs(terms).sum(axis=1)
+        assert np.all(np.abs(terms.sum(axis=1)) <= 1e-13 * scale)
+
     def test_down_part_kills_quantum_vacuum(self, bistable_params):
         _, down = hamiltonian_parts_clq(bistable_params, (60, 4))
         vec = embed_wavefunction(wavefunction_linear(bistable_params), (60, 4))
@@ -227,6 +249,26 @@ class TestEmbedding:
         with pytest.raises(CutoffTooSmall):
             embed_wavefunction(wf, (10, 3))
 
+    @pytest.mark.parametrize("cutoffs", [(5.7, True), (2.9, 1.5), (5, 2.0), ("5", 2)])
+    def test_non_integer_cutoffs_refused(self, bistable_params, cutoffs):
+        for build in (
+            lambda: build_generalized_hamiltonian_clq(bistable_params, cutoffs),
+            lambda: build_generalized_hamiltonian_pm(bistable_params, cutoffs),
+            lambda: hamiltonian_parts_clq(bistable_params, cutoffs),
+            lambda: mixing_unitary(cutoffs),
+            lambda: OperatorMatrix(np.zeros((18, 18), dtype=complex), "cl_q", cutoffs),
+        ):
+            with pytest.raises(InvalidParams, match="mode cutoff must be an integer"):
+                build()
+
+    def test_numpy_integer_cutoffs_accepted(self, bistable_params):
+        op = build_generalized_hamiltonian_clq(bistable_params, (np.int64(5), np.int32(2)))
+        assert op.cutoffs == (5, 2) and all(type(c) is int for c in op.cutoffs)
+        assert np.array_equal(
+            op.entries, build_generalized_hamiltonian_clq(bistable_params, (5, 2)).entries
+        )
+        assert np.array_equal(mixing_unitary((np.int64(2), 2)), mixing_unitary((2, 2)))
+
     def test_interior_projector_bounds(self):
         mask = interior_projector((20, 4), 12)
         assert mask.sum() == 13 * 5
@@ -262,6 +304,20 @@ class TestSteadyResidual:
         h = build_generalized_hamiltonian_clq(bistable_params, (60, 4))
         rep = steady_residual(h, wf, 50)
         assert rep.residual_norm > 1e-3
+
+    @pytest.mark.parametrize("cut", [50.5, 50.0, True, "50"])
+    def test_non_integer_interior_cut_refused(self, bistable_params, cut):
+        wf = wavefunction_linear(bistable_params, truncation=60)
+        h = build_generalized_hamiltonian_clq(bistable_params, (60, 4))
+        with pytest.raises(InvalidParams, match="interior cut must be an integer"):
+            steady_residual(h, wf, cut)
+
+    def test_numpy_integer_interior_cut_accepted(self, bistable_params):
+        wf = wavefunction_linear(bistable_params, truncation=60)
+        h = build_generalized_hamiltonian_clq(bistable_params, (60, 4))
+        rep = steady_residual(h, wf, np.int64(50))
+        assert rep == steady_residual(h, wf, 50)
+        assert type(rep.interior_cut) is int
 
     def test_rejects_plus_minus_operator(self, bistable_params):
         pm = build_generalized_hamiltonian_pm(bistable_params, (60, 4))

@@ -102,6 +102,20 @@ def test_vectorized_action_matches_direct_evaluation(p, seed):
     assert np.abs(via_super - direct).max() <= 1e-12 * scale
 
 
+@pytest.mark.parametrize("cutoff", [2.5, 3.0, True, "3"])
+def test_non_integer_cutoff_refused(cutoff):
+    with pytest.raises(InvalidParams, match="cutoff must be an integer"):
+        fock_annihilation(cutoff)
+    with pytest.raises(InvalidParams, match="cutoff must be an integer"):
+        steady_state_at(damping_only(), cutoff)
+
+
+def test_numpy_integer_cutoff_accepted():
+    assert np.array_equal(fock_annihilation(np.int64(3)), fock_annihilation(3))
+    rho = steady_state_at(damping_only(), np.int32(4))
+    assert rho.entries.shape == (5, 5)
+
+
 class TestSteadyState:
     def test_pure_damping_gives_vacuum(self):
         rho = steady_state_at(damping_only(), cutoff=6)
