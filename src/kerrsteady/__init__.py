@@ -6,6 +6,8 @@ structure, doubled-space operator certificates, and an independent
 density-matrix oracle for cross-validation.
 """
 
+from types import ModuleType as _ModuleType
+
 from .errors import (
     BasisMismatch,
     CrossCheckFailure,
@@ -93,73 +95,8 @@ from .specfun import (
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "BasisMismatch",
-    "CL_Q",
-    "CorrelationResult",
-    "CrossCheckFailure",
-    "CutoffTooSmall",
-    "DensityMatrix",
-    "DenominatorPole",
-    "ExactSweepRow",
-    "InvalidParams",
-    "InvariantViolation",
-    "KerrSteadyError",
-    "LinearDerived",
-    "Liouvillian",
-    "MeanFieldBranch",
-    "ModelParams",
-    "NonConvergence",
-    "OperatorMatrix",
-    "PLUS_MINUS",
-    "PoleError",
-    "ResidualReport",
-    "ResonancePrediction",
-    "ResonanceScan",
-    "SeriesResult",
-    "SingularSystem",
-    "SteadyWavefunction",
-    "TwoPhotonDerived",
-    "UnsupportedModel",
-    "adaptive_cutoff",
-    "amplitude_moment",
-    "bistable_window",
-    "build_generalized_hamiltonian_clq",
-    "build_generalized_hamiltonian_pm",
-    "build_liouvillian",
-    "classify_stability",
-    "convert_basis",
-    "correlation_from_rho",
-    "correlation_linear",
-    "correlation_twophoton",
-    "derive_linear",
-    "derive_twophoton",
-    "drive_point_branches",
-    "embed_wavefunction",
-    "exact_drive_point",
-    "fock_annihilation",
-    "hamiltonian_fock",
-    "hamiltonian_parts_clq",
-    "hyp0f2",
-    "hyp0f2_ratio",
-    "hyp2f1_terminating",
-    "interior_projector",
-    "mixing_unitary",
-    "params_from_dict",
-    "photon_number_branches",
-    "photon_number_linear",
-    "photon_number_twophoton",
-    "pochhammer",
-    "q_grade_blocks",
-    "resonance_predictions",
-    "resonance_scan",
-    "scan_point",
-    "steady_residual",
-    "steady_state",
-    "steady_state_at",
-    "strict_local_maxima",
-    "sweep_drive",
-    "wavefunction_linear",
-    "wavefunction_twophoton",
-    "wavefunction_via_three_term",
-]
+# Every public name imported above; a second, hand-kept list could drift from them.
+__all__ = sorted(
+    name for name, value in globals().items()
+    if not name.startswith("_") and not isinstance(value, _ModuleType)
+)

@@ -4,9 +4,10 @@ The steady state is the quantum-mode vacuum of the doubled-space
 generator (keldysh_ops), whose raising part maps q=0 into q=1 through a
 band: bidiagonal for the coherent drive, tridiagonal with the two-photon
 pump.  Forward substitution through that band is the package's one
-amplitude recursion, _recursion_amplitudes, whose three-term form is in
-exact_twophoton.  For the coherent drive, with the reduced drive
-``epsilon`` and detuning-loss ratio ``x`` (see model.derive_linear), it is
+amplitude recursion, _recursion_amplitudes, defined here; exact_twophoton
+imports it and prints its three-term form.  For the coherent drive, with
+the reduced drive ``epsilon`` and detuning-loss ratio ``x`` (see
+model.derive_linear), it is
 
     beta_m = sqrt(2/m) * epsilon / (x + m - 1) * beta_{m-1},    beta_0 = 1,
 
@@ -30,12 +31,11 @@ from .errors import (
     CrossCheckFailure,
     CutoffTooSmall,
     DenominatorPole,
-    InvalidParams,
     InvariantViolation,
     NonConvergence,
-    UnsupportedModel,
 )
-from .model import ModelParams, _check_fock_size, _check_moment_orders, derive_linear
+from .model import (ModelParams, _at_drive, _check_fock_size, _check_moment_orders,
+                    _require_coherent_drive, derive_linear)
 from .specfun import _POLE_GUARD, hyp0f2, hyp0f2_ratio, pochhammer
 
 _TAIL_RUN = 3
@@ -226,10 +226,7 @@ def wavefunction_linear(params: ModelParams, truncation: int | None = None) -> S
     CrossCheckFailure
         If the two normalizations disagree in any other case.
     """
-    if params.is_two_photon:
-        raise UnsupportedModel(
-            "two-photon pump or loss present; use the two-photon solver"
-        )
+    _require_coherent_drive(params)
     # derive_linear refuses chi = 0 (no 0F2 form) before the recursion, which would run there
     derived = derive_linear(params)
     wf = _package(*_recursion_amplitudes(params, _TAIL_TOL, _MAX_TRUNCATION, truncation))
@@ -280,10 +277,7 @@ def correlation_linear(params: ModelParams, l: int, k: int) -> CorrelationResult
     the two drift apart.
     """
     l, k = _check_moment_orders(l, k)
-    if params.is_two_photon:
-        raise UnsupportedModel(
-            "two-photon pump or loss present; use the two-photon solver"
-        )
+    _require_coherent_drive(params)
     derived = derive_linear(params)
     eps, x = derived.epsilon, derived.x
     w = 2.0 * abs(eps) ** 2
@@ -317,9 +311,7 @@ class ExactSweepRow:
 
 def exact_drive_point(params: ModelParams, omega: float) -> ExactSweepRow:
     """<a^dag a>, <a>, and g2 = <a^dag^2 a^2> / <a^dag a>^2 (nan at zero drive)."""
-    at_om = params.replace(omega=omega)
-    if at_om.omega < 0.0:
-        raise InvalidParams(f"drive values must be >= 0, got {omega!r}")
+    at_om = _at_drive(params, omega)
     n = photon_number_linear(at_om)
     amplitude = correlation_linear(at_om, 0, 1).value
     numerator = correlation_linear(at_om, 2, 2).value.real

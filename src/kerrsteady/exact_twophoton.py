@@ -52,7 +52,7 @@ from .exact_linear import (
     correlation_linear,
     wavefunction_linear,
 )
-from .model import ModelParams, _check_fock_size, _check_moment_orders, derive_twophoton
+from .model import ModelParams, _at_grid, _check_fock_size, _check_moment_orders, derive_twophoton
 from .specfun import hyp2f1_terminating
 
 # the cross-check covers the whole amplitude support: up to the truncation cap
@@ -275,13 +275,11 @@ def resonance_scan(params: ModelParams, detunings) -> ResonanceScan:
     fixed.  A maximum must strictly beat both neighbors, so plateaus and
     endpoints never count.
     """
-    grid = np.asarray(detunings, dtype=float)
-    if grid.ndim != 1 or grid.size < 3:
-        raise InvalidParams("detuning grid must be one-dimensional with >= 3 points")
-    numbers = np.empty(grid.size)
-    coherence = np.empty(grid.size)
-    for i, d in enumerate(grid):
-        numbers[i], coherence[i] = scan_point(params, float(d))
+    at_points = _at_grid(params, "delta_c", detunings)
+    if len(at_points) < 3:
+        raise InvalidParams("detuning grid must hold >= 3 points")
+    grid = np.array([p.delta_c for p in at_points])
+    numbers, coherence = np.array([scan_point(params, d) for d in grid]).T
     return ResonanceScan(
         detunings=grid,
         photon_numbers=numbers,

@@ -39,7 +39,7 @@ import numpy as np
 from .errors import BasisMismatch, CutoffTooSmall, InvalidParams
 from .exact_linear import SteadyWavefunction
 from .lindblad_oracle import fock_annihilation, hamiltonian_fock
-from .model import ModelParams, _check_fock_size
+from .model import ModelParams, _check_fock_size, _check_pair
 
 if TYPE_CHECKING:
     import scipy.sparse as sp
@@ -70,8 +70,9 @@ class OperatorMatrix:
 
     def __post_init__(self) -> None:
         self.cutoffs = _check_cutoffs(self.cutoffs)
-        if self.basis_tag not in _BASES:
-            raise InvalidParams(f"unknown basis tag {self.basis_tag!r}")
+        _check_basis(self.basis_tag)
+        if not isinstance(self.entries, np.ndarray):
+            raise InvalidParams(f"entries must be an ndarray, got {type(self.entries).__name__}")
         if self.entries.shape != (self.dim, self.dim):
             raise InvalidParams(
                 f"entries shape {self.entries.shape} inconsistent with cutoffs {self.cutoffs}"
@@ -83,8 +84,15 @@ class OperatorMatrix:
 
 
 def _check_cutoffs(cutoffs: tuple[int, int]) -> tuple[int, int]:
-    return (_check_fock_size("first-mode cutoff", cutoffs[0], 1),
-            _check_fock_size("second-mode cutoff", cutoffs[1], 1))
+    """Exactly two integer cutoffs >= 1, as Python ints."""
+    m1, m2 = _check_pair("cutoffs", cutoffs)
+    return (_check_fock_size("first-mode cutoff", m1, 1),
+            _check_fock_size("second-mode cutoff", m2, 1))
+
+
+def _check_basis(tag: str) -> None:
+    if tag not in _BASES:
+        raise InvalidParams(f"unknown basis tag {tag!r}")
 
 
 def _annihilators(cutoffs: tuple[int, int]) -> tuple[sp.csr_matrix, sp.csr_matrix]:
@@ -209,8 +217,7 @@ def mixing_unitary(cutoffs: tuple[int, int]) -> np.ndarray:
 
 def convert_basis(op: OperatorMatrix, target: str) -> OperatorMatrix:
     """Rewrite an operator in the other basis via the mixing unitary."""
-    if target not in _BASES:
-        raise InvalidParams(f"unknown basis tag {target!r}")
+    _check_basis(target)
     if op.basis_tag == target:
         return op
     w = mixing_unitary(op.cutoffs)

@@ -34,7 +34,7 @@ from .errors import (
     NonConvergence,
     SingularSystem,
 )
-from .model import ModelParams, _check_fock_size, _check_moment_orders
+from .model import ModelParams, _check_fock_size, _check_moment_orders, _check_pair
 
 if TYPE_CHECKING:
     import scipy.sparse as sp
@@ -223,7 +223,7 @@ def adaptive_cutoff(
     Raises InvalidParams unless 0 < tol < inf, and NonConvergence if no
     doubling up to cutoff _ADAPTIVE_CAP agrees.
     """
-    l, k = _check_moment_orders(*observable)
+    l, k = _check_moment_orders(*_check_pair("observable", observable))
     if not 0.0 < tol < math.inf:
         raise InvalidParams(f"tol must be positive and finite, got {tol}")
     m = max(_ADAPTIVE_START, 2 * (l + k))

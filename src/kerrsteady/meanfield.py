@@ -25,8 +25,8 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .errors import InvalidParams, InvariantViolation, UnsupportedModel
-from .model import ModelParams
+from .errors import InvalidParams, InvariantViolation
+from .model import ModelParams, _at_drive, _at_grid, _require_coherent_drive
 
 _DEGENERATE_REL = 1e-7
 
@@ -144,10 +144,7 @@ def photon_number_branches(params: ModelParams) -> list[MeanFieldBranch]:
         If a polished root fails the cubic residual check or |a0|^2
         drifts from n beyond tolerance.
     """
-    if params.is_two_photon:
-        raise UnsupportedModel(
-            "mean-field branches are implemented for the coherently driven model only"
-        )
+    _require_coherent_drive(params)
     om = params.omega
 
     a, b, c, d = _cubic_coeffs(params, om)
@@ -202,8 +199,7 @@ def classify_stability(branch: MeanFieldBranch, params: ModelParams) -> MeanFiel
     part.  Real parts within the numerical margin of zero are flagged
     marginal and reported unstable.
     """
-    if params.is_two_photon:
-        raise UnsupportedModel("stability classification covers the coherently driven model only")
+    _require_coherent_drive(params)
     n, a0 = branch.n, branch.a0
     diag = params.delta_c + 4.0 * params.chi * n
     jac = np.array(
@@ -228,9 +224,7 @@ def classify_stability(branch: MeanFieldBranch, params: ModelParams) -> MeanFiel
 
 def drive_point_branches(params: ModelParams, omega: float) -> list[MeanFieldBranch]:
     """Classified branches at one drive amplitude, sorted ascending in n."""
-    at_om = params.replace(omega=omega)
-    if at_om.omega < 0.0:
-        raise InvalidParams(f"drive grid values must be >= 0, got {omega!r}")
+    at_om = _at_drive(params, omega)
     return [classify_stability(br, at_om) for br in photon_number_branches(at_om)]
 
 
@@ -241,9 +235,8 @@ def sweep_drive(params: ModelParams, omega_grid) -> list[tuple[float, list[MeanF
     row layout is stable regardless of how many branches coexist, which
     is what the CSV writer and the window-detection tests key on.
     """
-    # ModelParams checks each entry first, so a non-numeric one raises InvalidParams
-    at_points = [params.replace(omega=om) for om in omega_grid]
-    return [(p.omega, drive_point_branches(p, p.omega)) for p in at_points]
+    return [(p.omega, drive_point_branches(p, p.omega))
+            for p in _at_grid(params, "omega", omega_grid)]
 
 
 def bistable_window(params: ModelParams, omega_grid) -> tuple[float, float] | None:

@@ -12,6 +12,11 @@ and the master equation adds the dissipators gamma D[a] and kappa D[a^2].
 All frequencies share one unit; only ratios matter, which
 :func:`params_from_dict` exploits for config files that specify, say,
 delta_c / chi directly.
+
+This module also holds the package's input rules: finite real and complex
+numbers, Fock sizes, moment orders, pairs, parameter grids, the drive sign
+and the coherent-drive-only refusal.  Other modules call these rules
+instead of writing their own.
 """
 
 from __future__ import annotations
@@ -22,7 +27,7 @@ import math
 import numbers
 from dataclasses import dataclass
 
-from .errors import InvalidParams
+from .errors import InvalidParams, UnsupportedModel
 
 _RATES = ("delta_c", "chi", "omega", "gamma", "kappa")
 _ABS_KEYS = _RATES + ("lambda_re", "lambda_im")
@@ -33,10 +38,36 @@ def _finite_real(name: str, value) -> float:
     """value as a float; bools, strings and non-finite numbers are refused."""
     # bool is an int subclass and a str converts: neither may run as a rate.
     # float and int are tested before the (slower) ABC, which admits numpy scalars.
-    if isinstance(value, bool) or not isinstance(value, (float, int, numbers.Real)) \
-            or not math.isfinite(value):
-        raise InvalidParams(f"{name} must be a finite real number, got {value!r}")
-    return float(value)
+    if not isinstance(value, bool) and isinstance(value, (float, int, numbers.Real)):
+        try:
+            if math.isfinite(value):
+                return float(value)
+        except OverflowError:  # an int beyond the double range
+            pass
+    raise InvalidParams(f"{name} must be a finite real number, got {value!r}")
+
+
+def _finite_complex(name: str, value) -> complex:
+    """value as a complex; bools, strings and non-finite numbers are refused."""
+    # complex and float are tested by exact type before the (slower) ABC, which
+    # admits ints and numpy scalars; bool is an int subclass, so it is refused by name
+    if type(value) is complex or type(value) is float or (
+            not isinstance(value, bool) and isinstance(value, numbers.Complex)):
+        try:
+            if cmath.isfinite(value):
+                return complex(value)
+        except OverflowError:  # an int beyond the double range
+            pass
+    raise InvalidParams(f"{name} must be a finite complex number, got {value!r}")
+
+
+def _check_pair(name: str, value) -> tuple:
+    """The two entries of a pair argument, such as moment orders or cutoffs."""
+    try:
+        first, second = value
+    except (TypeError, ValueError):
+        raise InvalidParams(f"{name} must be a pair, got {value!r}") from None
+    return first, second
 
 
 def _is_integer(value) -> bool:
@@ -51,7 +82,8 @@ def _check_fock_size(name: str, value, lowest: int) -> int:
     All but integers >= lowest are refused rather than coerced, so 2.5 or
     True never runs as some other size.
     """
-    if not _is_integer(value) or value < lowest:
+    # a Python int skips the slower predicate: the Gauss sum checks its order per call
+    if (type(value) is not int and not _is_integer(value)) or value < lowest:
         raise InvalidParams(f"{name} must be an integer >= {lowest}, got {value!r}")
     return int(value)
 
@@ -101,11 +133,7 @@ class ModelParams:
     def __post_init__(self):
         for name in _RATES:
             object.__setattr__(self, name, _finite_real(name, getattr(self, name)))
-        lam = self.lambda_2ph
-        if isinstance(lam, bool) or not isinstance(lam, (complex, float, int, numbers.Complex)) \
-                or not cmath.isfinite(lam):
-            raise InvalidParams(f"lambda_2ph must be a finite complex number, got {lam!r}")
-        object.__setattr__(self, "lambda_2ph", complex(lam))
+        object.__setattr__(self, "lambda_2ph", _finite_complex("lambda_2ph", self.lambda_2ph))
         if self.gamma <= 0.0:
             raise InvalidParams(f"gamma must be > 0, got {self.gamma}")
         if self.kappa < 0.0:
@@ -130,6 +158,30 @@ class ModelParams:
             "lambda_im": self.lambda_2ph.imag,
             "kappa": self.kappa,
         }
+
+
+def _require_coherent_drive(params: ModelParams) -> None:
+    """Refuse a two-photon pump or loss in a solver of the coherently driven model."""
+    if params.is_two_photon:
+        raise UnsupportedModel(
+            "two-photon pump or loss present; this solver covers the coherent drive only")
+
+
+def _at_drive(params: ModelParams, omega) -> ModelParams:
+    """params at drive omega, which ModelParams checks; a negative drive is refused."""
+    at_om = params.replace(omega=omega)
+    if at_om.omega < 0.0:
+        raise InvalidParams(f"drive values must be >= 0, got {omega!r}")
+    return at_om
+
+
+def _at_grid(params: ModelParams, name: str, grid) -> list[ModelParams]:
+    """params with rate `name` at each grid value; ModelParams checks each before use."""
+    try:
+        values = list(grid)
+    except TypeError:
+        raise InvalidParams(f"{name} grid must be an iterable of numbers, got {grid!r}") from None
+    return [params.replace(**{name: value}) for value in values]
 
 
 @dataclass(frozen=True)
@@ -169,7 +221,7 @@ class TwoPhotonDerived:
 def derive_linear(params: ModelParams) -> LinearDerived:
     """Map physical parameters to the closed-form inputs (epsilon, x)."""
     if params.chi == 0.0:
-        raise InvalidParams("derive_linear requires chi != 0")
+        raise InvalidParams("the coherent-drive closed form needs chi != 0")
     epsilon = -1j * params.omega / params.chi
     x = (2.0 * params.delta_c - 1j * params.gamma) / (2.0 * params.chi)
     return LinearDerived(epsilon=epsilon, x=x)
@@ -184,9 +236,9 @@ def derive_twophoton(params: ModelParams) -> TwoPhotonDerived:
     combination 2 chi - i kappa away from zero.
     """
     if params.chi == 0.0 and params.kappa == 0.0:
-        raise InvalidParams("derive_twophoton requires 2*chi - i*kappa != 0")
+        raise InvalidParams("the two-photon closed form needs 2*chi - i*kappa != 0")
     if params.lambda_2ph == 0:
-        raise InvalidParams("derive_twophoton requires lambda_2ph != 0")
+        raise InvalidParams("the two-photon closed form needs lambda_2ph != 0")
     denom = 2.0 * params.chi - 1j * params.kappa
     disp = 1j * cmath.sqrt(2.0 * params.lambda_2ph / denom)
     y = (-2j * math.sqrt(2.0) * params.omega + disp * (2.0 * params.delta_c - 1j * params.gamma)) / (

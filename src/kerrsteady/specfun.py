@@ -23,7 +23,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .errors import DenominatorPole, InvalidParams, NonConvergence
+from .errors import DenominatorPole, NonConvergence
+from .model import _check_fock_size, _finite_complex
 
 _POLE_GUARD = 1e-12
 _SERIES_TOL = 1e-16
@@ -55,17 +56,20 @@ class SeriesResult:
     tail_estimate: float
 
 
-def _check_finite(name: str, value: complex) -> complex:
-    value = complex(value)
-    if not (math.isfinite(value.real) and math.isfinite(value.imag)):
-        raise InvalidParams(f"{name} must be finite, got {value!r}")
-    return value
-
-
 def _near_pole(b: complex, lowest: float = -math.inf) -> bool:
     """True when b is within the pole guard of an integer n, lowest < n <= 0."""
     nearest = round(b.real)
     return lowest < nearest <= 0 and abs(complex(b.real - nearest, b.imag)) < _POLE_GUARD
+
+
+def _lower_parameter(where: str, name: str, b) -> complex:
+    """A finite lower parameter of a 0F2 series, refused within the pole guard."""
+    b = _finite_complex(name, b)
+    if _near_pole(b):
+        raise DenominatorPole(
+            f"{where} parameter {name}={b!r} within {_POLE_GUARD} of a nonpositive integer"
+        )
+    return b
 
 
 def pochhammer(x: complex, m: int) -> complex:
@@ -74,9 +78,8 @@ def pochhammer(x: complex, m: int) -> complex:
     The direct product stays exact at negative integer x where a
     gamma-function quotient would hit poles; (x)_0 = 1 identically.
     """
-    if isinstance(m, bool) or not isinstance(m, int) or m < 0:
-        raise InvalidParams(f"pochhammer order must be a nonnegative integer, got {m!r}")
-    x = _check_finite("x", x)
+    m = _check_fock_size("pochhammer order", m, 0)
+    x = _finite_complex("x", x)
     acc = 1.0 + 0j
     for j in range(m):
         acc *= x + j
@@ -100,14 +103,9 @@ def hyp0f2(b1: complex, b2: complex, z: complex) -> SeriesResult:
         If the term cap fires first or the partial sum leaves the double
         range.
     """
-    b1 = _check_finite("b1", b1)
-    b2 = _check_finite("b2", b2)
-    z = _check_finite("z", z)
-    for name, b in (("b1", b1), ("b2", b2)):
-        if _near_pole(b):
-            raise DenominatorPole(
-                f"hyp0f2 parameter {name}={b!r} within {_POLE_GUARD} of a nonpositive integer"
-            )
+    b1 = _lower_parameter("hyp0f2", "b1", b1)
+    b2 = _lower_parameter("hyp0f2", "b2", b2)
+    z = _finite_complex("z", z)
     if z == 0:
         return SeriesResult(1.0 + 0j, 1, 0.0)
 
@@ -149,13 +147,11 @@ def hyp0f2_ratio(
     available even where the individual series overflow doubles.  Used by
     the correlation formulas, whose value is always such a ratio.
     """
-    for name, b in (("bn1", bn1), ("bn2", bn2), ("bd1", bd1), ("bd2", bd2)):
-        b = _check_finite(name, b)
-        if _near_pole(b):
-            raise DenominatorPole(
-                f"hyp0f2_ratio parameter {name}={b!r} within {_POLE_GUARD} of a nonpositive integer"
-            )
-    z = _check_finite("z", z)
+    bn1, bn2, bd1, bd2 = (
+        _lower_parameter("hyp0f2_ratio", name, b)
+        for name, b in (("bn1", bn1), ("bn2", bn2), ("bd1", bd1), ("bd2", bd2))
+    )
+    z = _finite_complex("z", z)
 
     num = den = tn = td = 1.0 + 0j
     small_run = 0
@@ -302,17 +298,18 @@ def hyp2f1_terminating(
     Raises
     ------
     InvalidParams
-        If m is not a nonnegative integer (bool included).
+        If m is not an integer >= 0 (Python and numpy integers pass;
+        bool, float and str are refused), or y, z or asym is not a finite
+        number (bool and str are refused).
     DenominatorPole
         If (z)_n vanishes for some n <= m (z a nonpositive integer above
         -m) or underflows below 1e-300.
     """
-    if isinstance(m, bool) or not isinstance(m, int) or m < 0:
-        raise InvalidParams(f"hyp2f1_terminating order must be a nonnegative integer, got {m!r}")
-    y = _check_finite("y", y)
-    z = _check_finite("z", z)
+    m = _check_fock_size("hyp2f1_terminating order", m, 0)
+    y = _finite_complex("y", y)
+    z = _finite_complex("z", z)
     w = z - y
-    d = y - w if asym is None else 2.0 * _check_finite("asym", asym)
+    d = y - w if asym is None else 2.0 * _finite_complex("asym", asym)
     poch_z = ratio_y = ratio_w = 1.0 + 0j
     for n in range(m):
         zn = z + n

@@ -463,6 +463,27 @@ class TestDomainErrors:
         err = capsys.readouterr().err
         assert err.startswith("error: truncation 120 is too small")
 
+    @pytest.mark.parametrize(
+        "args, rule",
+        [
+            (["exact-sweep", "--delta-c", "5", "--chi", "0", "--gamma", "1",
+              "--omega-from", "0", "--omega-to", "1", "--omega-step", "0.5"],
+             "coherent-drive closed form needs chi != 0"),
+            (["residual", "--delta-c", "5", "--chi", "0", "--gamma", "1", "--omega", "1"],
+             "coherent-drive closed form needs chi != 0"),
+            (["residual", "--delta-c", "1", "--chi", "0", "--gamma", "1", "--omega", "0.1",
+              "--lambda2", "0.2"],
+             "two-photon closed form needs 2*chi - i*kappa != 0"),
+        ],
+        ids=["exact-sweep-chi0", "residual-chi0", "residual-pump-chi0-kappa0"],
+    )
+    def test_refusals_state_the_model_rule(self, capsys, args, rule):
+        # the message names the rule, not the internal function that applies it
+        assert main(args) == 1
+        err = capsys.readouterr().err
+        assert rule in err
+        assert "derive_" not in err
+
     def test_negative_rate_exits_one(self, capsys):
         code = main(["meanfield-sweep", "--delta-c", "5", "--chi", "-0.25",
                      "--gamma", "-1", "--omega-from", "0", "--omega-to", "1",

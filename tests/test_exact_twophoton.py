@@ -284,3 +284,16 @@ class TestResonanceBookkeeping:
     def test_scan_rejects_short_grid(self, twophoton_params):
         with pytest.raises(InvalidParams):
             resonance_scan(twophoton_params, [-1.0, 0.0])
+
+    @pytest.mark.parametrize("grid", [["a", "b", "c"], [-1.0, True, 0.0], 5.0, [[-1.0, 0.0, 1.0]]],
+                             ids=["str", "bool", "scalar", "nested"])
+    def test_scan_rejects_malformed_grid(self, twophoton_params, grid):
+        # each point's ModelParams checks its detuning before anything converts it
+        with pytest.raises(InvalidParams):
+            resonance_scan(twophoton_params, grid)
+
+    def test_scan_grid_keeps_its_values(self, twophoton_params):
+        grid = [-1.1, np.float64(-1.0), np.float32(-0.9), -1]
+        scan = resonance_scan(twophoton_params, grid)
+        assert scan.detunings.dtype == np.float64
+        assert scan.detunings.tolist() == np.asarray(grid, dtype=float).tolist()

@@ -261,6 +261,24 @@ class TestEmbedding:
             with pytest.raises(InvalidParams, match="mode cutoff must be an integer"):
                 build()
 
+    @pytest.mark.parametrize("cutoffs", [(5, 3, 2), (5,), 5, None], ids=["three", "one", "int", "none"])
+    def test_cutoffs_must_be_a_pair(self, bistable_params, cutoffs):
+        # (5, 3, 2) used to build quietly at (5, 3)
+        for build in (
+            lambda: build_generalized_hamiltonian_clq(bistable_params, cutoffs),
+            lambda: build_generalized_hamiltonian_pm(bistable_params, cutoffs),
+            lambda: mixing_unitary(cutoffs),
+            lambda: OperatorMatrix(np.zeros((24, 24), dtype=complex), "cl_q", cutoffs),
+        ):
+            with pytest.raises(InvalidParams, match="cutoffs must be a pair"):
+                build()
+
+    def test_entries_must_be_an_ndarray(self):
+        with pytest.raises(InvalidParams, match="entries must be an ndarray"):
+            OperatorMatrix([[0]], "cl_q", (1, 1))
+        with pytest.raises(InvalidParams, match="entries must be an ndarray"):
+            OperatorMatrix(np.zeros((4, 4)).tolist(), "cl_q", (1, 1))
+
     def test_numpy_integer_cutoffs_accepted(self, bistable_params):
         op = build_generalized_hamiltonian_clq(bistable_params, (np.int64(5), np.int32(2)))
         assert op.cutoffs == (5, 2) and all(type(c) is int for c in op.cutoffs)

@@ -200,6 +200,12 @@ class TestAdaptiveCutoff:
         with pytest.raises(NonConvergence, match="cutoff cap 32"):
             adaptive_cutoff(bistable_params, observable=(1, 1), tol=1e-30)
 
+    @pytest.mark.parametrize("observable", [(1,), 5, (1, 1, 1), None],
+                             ids=["one", "int", "three", "none"])
+    def test_refuses_observable_that_is_not_a_pair(self, bistable_params, observable):
+        with pytest.raises(InvalidParams, match="observable must be a pair"):
+            adaptive_cutoff(bistable_params, observable=observable)
+
     @pytest.mark.parametrize("tol", [0.0, -1.0, math.nan, math.inf])
     def test_refuses_meaningless_tol(self, monkeypatch, bistable_params, tol):
         # inf certifies the first cutoff unseen; the others can never certify

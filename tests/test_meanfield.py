@@ -207,6 +207,13 @@ class TestSweep:
         with pytest.raises(InvalidParams):
             sweep_drive(drive_family(0.0), [0.5, "abc"])
 
+    @pytest.mark.parametrize("grid", [5, 2.5, None])
+    def test_non_iterable_grid_rejected(self, grid):
+        with pytest.raises(InvalidParams, match="omega grid must be an iterable"):
+            bistable_window(drive_family(0.0), grid)
+        with pytest.raises(InvalidParams, match="omega grid must be an iterable"):
+            sweep_drive(drive_family(0.0), grid)
+
     @pytest.mark.parametrize("omega", [True, "2.0"])
     def test_non_numeric_drive_rejected(self, omega):
         # a bool or str drive must not run as 1.0 or 2.0

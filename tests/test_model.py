@@ -7,7 +7,14 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from kerrsteady.errors import InvalidParams
+from kerrsteady.errors import InvalidParams, UnsupportedModel
+from kerrsteady.exact_linear import correlation_linear, exact_drive_point, wavefunction_linear
+from kerrsteady.meanfield import (
+    MeanFieldBranch,
+    classify_stability,
+    drive_point_branches,
+    photon_number_branches,
+)
 from kerrsteady.model import (
     ModelParams,
     derive_linear,
@@ -42,6 +49,9 @@ def test_rejects_negative_kappa():
         {"gamma": "1"},
         {"lambda_2ph": True},
         {"lambda_2ph": "0.2"},
+        {"delta_c": 10**400},
+        {"lambda_2ph": 10**400},
+        {"lambda_2ph": complex(0.0, math.nan)},
     ],
 )
 def test_rejects_bool_and_str_rates(kw):
@@ -59,6 +69,31 @@ def test_numpy_scalars_pass_as_rates():
     assert (p.delta_c, p.chi, p.omega, p.gamma) == (5.0, -0.25, 4.0, 1.0)
     assert type(p.omega) is float and type(p.lambda_2ph) is complex
     assert p.lambda_2ph == 0.5 - 0.25j
+
+
+@pytest.mark.parametrize(
+    "solve",
+    [
+        wavefunction_linear,
+        lambda p: correlation_linear(p, 1, 1),
+        photon_number_branches,
+        lambda p: classify_stability(MeanFieldBranch(n=0.0, a0=0j), p),
+    ],
+    ids=["wavefunction_linear", "correlation_linear", "photon_number_branches",
+         "classify_stability"],
+)
+@pytest.mark.parametrize("two_photon", [{"lambda_2ph": 0.2}, {"kappa": 0.1}], ids=["pump", "loss"])
+def test_coherent_drive_solvers_share_one_refusal(solve, two_photon):
+    p = ModelParams(delta_c=5.0, chi=-0.25, omega=1.0, gamma=1.0, **two_photon)
+    with pytest.raises(UnsupportedModel, match="^two-photon pump or loss present; "):
+        solve(p)
+
+
+@pytest.mark.parametrize("drive_point", [exact_drive_point, drive_point_branches])
+def test_drive_points_share_one_sign_rule(drive_point):
+    p = ModelParams(delta_c=5.0, chi=-0.25, omega=0.0, gamma=1.0)
+    with pytest.raises(InvalidParams, match=r"^drive values must be >= 0, got -0\.5$"):
+        drive_point(p, -0.5)
 
 
 def test_replace_returns_new_frozen_instance():
@@ -92,7 +127,8 @@ class TestDeriveLinear:
         assert d.epsilon == 0.0j
 
     def test_chi_zero_rejected(self):
-        with pytest.raises(InvalidParams):
+        # the message states the model rule, not the function that applies it
+        with pytest.raises(InvalidParams, match="^the coherent-drive closed form needs chi != 0$"):
             derive_linear(ModelParams(delta_c=1.0, chi=0.0, omega=1.0, gamma=1.0))
 
     @given(

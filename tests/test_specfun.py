@@ -9,6 +9,7 @@ import json
 import math
 from fractions import Fraction
 
+import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
@@ -84,7 +85,7 @@ class TestPochhammer:
         right = pochhammer(x, m) * (x + m)
         assert left == pytest.approx(right, rel=1e-12, abs=1e-280)
 
-    @pytest.mark.parametrize("order", [-1, True, False])
+    @pytest.mark.parametrize("order", [-1, True, False, 2.0, "2"])
     def test_rejects_bad_order(self, order):
         # bool is an int subclass; True must not run as order 1
         with pytest.raises(InvalidParams):
@@ -254,7 +255,7 @@ class TestHyp2F1Terminating:
                     mismatches.append((case["label"], m, got, ref, bound))
         assert not mismatches, mismatches[:5]
 
-    @pytest.mark.parametrize("order", [-1, True, False])
+    @pytest.mark.parametrize("order", [-1, True, False, 3.0, "3"])
     def test_rejects_bad_order(self, order):
         with pytest.raises(InvalidParams):
             hyp2f1_terminating(order, 1.0, 1.0)
@@ -273,3 +274,37 @@ class TestHyp2F1Terminating:
 def test_rejects_nonfinite_arguments(call):
     with pytest.raises(InvalidParams):
         call()
+
+
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda: pochhammer("1", 3),
+        lambda: pochhammer(True, 3),
+        lambda: hyp0f2(True, 2, 1),
+        lambda: hyp0f2(1.0, 2.0, "1"),
+        lambda: hyp0f2_ratio("1", 1, 1, 1, 0.5),
+        lambda: hyp0f2_ratio(2.0, 1.0, 1.0, 1.0, False),
+        lambda: hyp2f1_terminating(3, "0.5", 1.5),
+        lambda: hyp2f1_terminating(3, 0.5, True),
+        lambda: hyp2f1_terminating(3, 0.5, 1.5, asym=True),
+        lambda: hyp0f2(1.0, 2.0, 10**400),
+    ],
+    ids=["pochhammer-str", "pochhammer-bool", "hyp0f2-bool", "hyp0f2-str", "hyp0f2_ratio-str",
+         "hyp0f2_ratio-bool", "hyp2f1-str", "hyp2f1-bool", "hyp2f1-asym-bool", "hyp0f2-huge-int"],
+)
+def test_rejects_bool_and_str_numbers(call):
+    # model's number rule: a bool or str never runs as a number
+    with pytest.raises(InvalidParams):
+        call()
+
+
+def test_numpy_numbers_pass_as_python_numbers():
+    assert pochhammer(0.5, np.int64(2)) == pochhammer(0.5, 2)
+    assert hyp2f1_terminating(np.int64(3), 0.5, 1.5) == hyp2f1_terminating(3, 0.5, 1.5)
+    assert hyp2f1_terminating(np.int32(4), np.float64(0.5), np.complex128(1.5 + 0.25j)) \
+        == hyp2f1_terminating(4, 0.5, 1.5 + 0.25j)
+    assert hyp0f2(np.float64(1.5), np.complex128(2.0 - 1j), np.float32(0.5)).value \
+        == hyp0f2(1.5, 2.0 - 1j, 0.5).value
+    assert hyp0f2_ratio(np.float64(2.5), 2.0, 1.5, np.int64(1), 0.75) \
+        == hyp0f2_ratio(2.5, 2.0, 1.5, 1, 0.75)
