@@ -17,7 +17,6 @@ from .errors import (
     InvariantViolation,
     KerrSteadyError,
     NonConvergence,
-    PoleError,
     SingularSystem,
     UnsupportedModel,
 )

@@ -19,11 +19,7 @@ class UnsupportedModel(KerrSteadyError):
     """Parameter combination has no implemented solution route."""
 
 
-class PoleError(KerrSteadyError):
-    """Evaluation requested at (or too close to) a pole; base of DenominatorPole."""
-
-
-class DenominatorPole(PoleError):
+class DenominatorPole(KerrSteadyError):
     """A Pochhammer denominator vanished or underflowed during a series."""
 
 

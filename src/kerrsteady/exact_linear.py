@@ -17,6 +17,7 @@ generalized hypergeometric value 0F2(; conj(x), x; 2|epsilon|^2), and
 normally ordered moments reduce to ratios of shifted 0F2 values.  Every
 moment is computed along both routes, the hypergeometric ratio and the
 direct amplitude sum, and the two must agree before a value is released.
+The moments of one drive point are all checked against one amplitude build.
 """
 
 from __future__ import annotations
@@ -269,34 +270,44 @@ def amplitude_moment(wavefunction: SteadyWavefunction, l: int, k: int) -> comple
     return acc * _AMP_MOMENT_SCALE ** ((l + k) / 2.0)
 
 
-def correlation_linear(params: ModelParams, l: int, k: int) -> CorrelationResult:
-    """Normally ordered moment <a^dag^l a^k> in closed form.
+def _linear_moments(params: ModelParams, orders) -> list[CorrelationResult]:
+    """Moments <a^dag^l a^k> of one coherent-drive state, one per (l, k) in orders.
 
-    The value is the hypergeometric-ratio expression; the amplitude-sum
-    route is evaluated alongside it and a CrossCheckFailure is raised if
-    the two drift apart.
+    Each hypergeometric ratio is released only if it agrees with the
+    amplitude sum over one wavefunction_linear build, made after the first ratio.
     """
-    l, k = _check_moment_orders(l, k)
+    orders = [_check_moment_orders(l, k) for l, k in orders]
     _require_coherent_drive(params)
     derived = derive_linear(params)
     eps, x = derived.epsilon, derived.x
-    w = 2.0 * abs(eps) ** 2
-    xc = x.conjugate()
-    prefactor = (
-        eps.conjugate() ** l * eps**k / (pochhammer(xc, l) * pochhammer(x, k))
-    )
-    value = prefactor * hyp0f2_ratio(xc + l, x + k, xc, x, w)
+    w, xc = 2.0 * abs(eps) ** 2, x.conjugate()
+    wf, out = None, []
+    for l, k in orders:
+        value = (eps.conjugate() ** l * eps**k / (pochhammer(xc, l) * pochhammer(x, k))
+                 * hyp0f2_ratio(xc + l, x + k, xc, x, w))
+        wf = wf or wavefunction_linear(params)
+        out.append(_release_moment(value, amplitude_moment(wf, l, k), l, k,
+                                   wf.truncation, ("hypergeometric", "amplitude")))
+    return out
 
-    wf = wavefunction_linear(params)
-    check = amplitude_moment(wf, l, k)
-    return _release_moment(
-        value, check, l, k, wf.truncation, ("hypergeometric", "amplitude")
-    )
+
+def correlation_linear(params: ModelParams, l: int, k: int) -> CorrelationResult:
+    """Normally ordered moment <a^dag^l a^k> in closed form.
+
+    The value is the hypergeometric-ratio expression, released only if the
+    amplitude-sum route agrees with it (CrossCheckFailure otherwise).
+    """
+    return _linear_moments(params, [(l, k)])[0]
 
 
 def photon_number_linear(params: ModelParams) -> float:
     """Steady-state photon number <a^dag a> for the linearly driven model."""
     return _real_photon_number(correlation_linear(params, 1, 1))
+
+
+def _g2(pair: float, n: float) -> float:
+    """g2 = <a^dag^2 a^2> / n**2; nan where n <= 0 or n**2 underflows to zero."""
+    return pair / n**2 if n > 0.0 and n**2 > 0.0 else float("nan")
 
 
 @dataclass(frozen=True)
@@ -310,11 +321,8 @@ class ExactSweepRow:
 
 
 def exact_drive_point(params: ModelParams, omega: float) -> ExactSweepRow:
-    """<a^dag a>, <a>, and g2 = <a^dag^2 a^2> / <a^dag a>^2 (nan at zero drive)."""
+    """<a^dag a>, <a>, and g2 = <a^dag^2 a^2> / <a^dag a>^2, all from one build."""
     at_om = _at_drive(params, omega)
-    n = photon_number_linear(at_om)
-    amplitude = correlation_linear(at_om, 0, 1).value
-    numerator = correlation_linear(at_om, 2, 2).value.real
-    g2 = numerator / n**2 if n**2 > 0.0 else float("nan")
-    return ExactSweepRow(omega=at_om.omega, n=n, amplitude=amplitude, g2=g2)
-
+    number, field, pair = _linear_moments(at_om, [(1, 1), (0, 1), (2, 2)])
+    n = _real_photon_number(number)
+    return ExactSweepRow(omega=at_om.omega, n=n, amplitude=field.value, g2=_g2(pair.value.real, n))

@@ -32,17 +32,13 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import (
-    CrossCheckFailure,
-    InvalidParams,
-    NonConvergence,
-    UnsupportedModel,
-)
+from .errors import CrossCheckFailure, InvalidParams, NonConvergence
 from .exact_linear import (
     _MAX_TRUNCATION,
     _TAIL_TOL,
     CorrelationResult,
     SteadyWavefunction,
+    _g2,
     _ladder,
     _package,
     _recursion_amplitudes,
@@ -52,21 +48,14 @@ from .exact_linear import (
     correlation_linear,
     wavefunction_linear,
 )
-from .model import ModelParams, _at_grid, _check_fock_size, _check_moment_orders, derive_twophoton
+from .model import (ModelParams, _at_grid, _check_fock_size, _check_moment_orders,
+                    _require_pump_with_loss, derive_twophoton)
 from .specfun import hyp2f1_terminating
 
 # the cross-check covers the whole amplitude support: up to the truncation cap
 _XCHECK_MAX_INDEX = _MAX_TRUNCATION
 _XCHECK_AMP_FLOOR = 1e-12
 _XCHECK_TOL = 1e-9
-
-
-def _require_twophoton(params: ModelParams) -> None:
-    if params.lambda_2ph == 0 and params.kappa > 0.0:
-        raise UnsupportedModel(
-            "two-photon loss without a two-photon pump is outside the "
-            "closed-form family"
-        )
 
 
 def _closed_form_amplitudes(
@@ -132,7 +121,6 @@ def wavefunction_twophoton(params: ModelParams, truncation: int | None = None) -
     """
     if not params.is_two_photon:
         return wavefunction_linear(params, truncation=truncation)
-    _require_twophoton(params)
     betas, converged = _closed_form_amplitudes(params, _TAIL_TOL, _MAX_TRUNCATION, truncation)
     _spot_check_against_recursion(params, betas)
     return _package(betas, converged)
@@ -150,7 +138,7 @@ def wavefunction_via_three_term(
     amplitudes); only two-photon loss without a pump is refused, as in
     the closed form.
     """
-    _require_twophoton(params)
+    _require_pump_with_loss(params)
     betas, converged = _recursion_amplitudes(params, _TAIL_TOL, _MAX_TRUNCATION, truncation)
     return _package(betas, converged)
 
@@ -265,7 +253,7 @@ def scan_point(params: ModelParams, delta_c: float) -> tuple[float, float]:
     wf = wavefunction_twophoton(params.replace(delta_c=delta_c))
     n = amplitude_moment(wf, 1, 1).real
     pair = amplitude_moment(wf, 2, 2).real
-    return n, (pair / n**2 if n > 0.0 else float("nan"))
+    return n, _g2(pair, n)
 
 
 def resonance_scan(params: ModelParams, detunings) -> ResonanceScan:

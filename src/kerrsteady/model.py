@@ -14,8 +14,9 @@ All frequencies share one unit; only ratios matter, which
 delta_c / chi directly.
 
 This module also holds the package's input rules: finite real and complex
-numbers, Fock sizes, moment orders, pairs, parameter grids, the drive sign
-and the coherent-drive-only refusal.  Other modules call these rules
+numbers, Fock sizes, moment orders, pairs, parameter grids, the drive sign,
+the coherent-drive solvers' refusal of a two-photon term and the two-photon
+solvers' refusal of loss without a pump.  Other modules call these rules
 instead of writing their own.
 """
 
@@ -167,6 +168,13 @@ def _require_coherent_drive(params: ModelParams) -> None:
             "two-photon pump or loss present; this solver covers the coherent drive only")
 
 
+def _require_pump_with_loss(params: ModelParams) -> None:
+    """Refuse two-photon loss without a two-photon pump, which has no closed form here."""
+    if params.lambda_2ph == 0 and params.kappa > 0.0:
+        raise UnsupportedModel(
+            "two-photon loss without a two-photon pump is outside the closed-form family")
+
+
 def _at_drive(params: ModelParams, omega) -> ModelParams:
     """params at drive omega, which ModelParams checks; a negative drive is refused."""
     at_om = params.replace(omega=omega)
@@ -231,10 +239,11 @@ def derive_twophoton(params: ModelParams) -> TwoPhotonDerived:
     """Map physical parameters to the displaced-frame inputs of the closed form.
 
     Requires a nonzero two-photon drive; the pure two-photon-loss model
-    (lambda_2ph = 0, kappa > 0) has no displaced closed form here and is
-    rejected upstream.  chi = 0 is fine as long as kappa > 0 keeps the
-    combination 2 chi - i kappa away from zero.
+    (lambda_2ph = 0, kappa > 0) has no displaced closed form and raises
+    UnsupportedModel, as in every two-photon solver.  chi = 0 is fine as
+    long as kappa > 0 keeps the combination 2 chi - i kappa away from zero.
     """
+    _require_pump_with_loss(params)
     if params.chi == 0.0 and params.kappa == 0.0:
         raise InvalidParams("the two-photon closed form needs 2*chi - i*kappa != 0")
     if params.lambda_2ph == 0:

@@ -14,6 +14,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from kerrsteady import exact_linear
 from kerrsteady.errors import CutoffTooSmall, InvalidParams, NonConvergence, UnsupportedModel
 from kerrsteady.exact_linear import (
     amplitude_moment,
@@ -217,8 +218,20 @@ class TestSweep:
             row = exact_drive_point(bistable_params, om)
             assert row.omega == om
             at_om = bistable_params.replace(omega=om)
-            assert row.n == pytest.approx(photon_number_linear(at_om), rel=1e-12)
+            assert row.n == photon_number_linear(at_om)
             assert row.amplitude == correlation_linear(at_om, 0, 1).value
+
+    def test_one_wavefunction_build_per_point(self, bistable_params, monkeypatch):
+        builds = []
+
+        def counting(params, truncation=None):
+            builds.append(params)
+            return wavefunction_linear(params, truncation)
+
+        monkeypatch.setattr(exact_linear, "wavefunction_linear", counting)
+        row = exact_drive_point(bistable_params, 4.0)
+        assert builds == [bistable_params.replace(omega=4.0)]
+        assert row.n == photon_number_linear(bistable_params)
 
     def test_g2_definition(self, bistable_params):
         row = exact_drive_point(bistable_params, 4.0)

@@ -78,6 +78,13 @@ class TestWavefunctionRoutes:
         )
         assert g20 == pytest.approx(refs["twophoton_reference_omega0"]["g2"], rel=1e-12)
 
+    def test_scan_point_g2_is_nan_where_n_squared_underflows(self):
+        # n is about 1e-180 here, so n**2 underflows to zero: g2 has no value
+        p = ModelParams(delta_c=0.0, chi=1.0, omega=0.0, gamma=1.0, lambda_2ph=1e-90)
+        n, g2 = scan_point(p, 0.0)
+        assert 0.0 < n < 1e-170 and n**2 == 0.0
+        assert math.isnan(g2)
+
     @pytest.mark.parametrize("delta_c", [True, "-1.0"])
     def test_scan_point_refuses_non_numeric_detuning(self, twophoton_params, delta_c):
         with pytest.raises(InvalidParams):

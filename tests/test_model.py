@@ -9,6 +9,11 @@ from hypothesis import strategies as st
 
 from kerrsteady.errors import InvalidParams, UnsupportedModel
 from kerrsteady.exact_linear import correlation_linear, exact_drive_point, wavefunction_linear
+from kerrsteady.exact_twophoton import (
+    correlation_twophoton,
+    wavefunction_twophoton,
+    wavefunction_via_three_term,
+)
 from kerrsteady.meanfield import (
     MeanFieldBranch,
     classify_stability,
@@ -86,6 +91,24 @@ def test_numpy_scalars_pass_as_rates():
 def test_coherent_drive_solvers_share_one_refusal(solve, two_photon):
     p = ModelParams(delta_c=5.0, chi=-0.25, omega=1.0, gamma=1.0, **two_photon)
     with pytest.raises(UnsupportedModel, match="^two-photon pump or loss present; "):
+        solve(p)
+
+
+@pytest.mark.parametrize(
+    "solve",
+    [
+        derive_twophoton,
+        wavefunction_twophoton,
+        wavefunction_via_three_term,
+        lambda p: correlation_twophoton(p, 1, 1),
+    ],
+    ids=["derive_twophoton", "wavefunction_twophoton", "wavefunction_via_three_term",
+         "correlation_twophoton"],
+)
+def test_twophoton_solvers_share_one_pumpless_loss_refusal(solve):
+    p = ModelParams(delta_c=1.0, chi=1.0, omega=0.5, gamma=0.1, kappa=0.2)
+    with pytest.raises(UnsupportedModel, match="^two-photon loss without a two-photon pump "
+                       "is outside the closed-form family$"):
         solve(p)
 
 
@@ -186,7 +209,12 @@ class TestDeriveTwophoton:
 
     def test_lambda_zero_rejected(self):
         p = ModelParams(delta_c=0.0, chi=1.0, omega=0.0, gamma=1.0, kappa=0.1)
-        with pytest.raises(InvalidParams):
+        with pytest.raises(UnsupportedModel):
+            derive_twophoton(p)
+
+    def test_no_two_photon_term_is_invalid(self):
+        p = ModelParams(delta_c=0.0, chi=1.0, omega=0.0, gamma=1.0)
+        with pytest.raises(InvalidParams, match="needs lambda_2ph != 0"):
             derive_twophoton(p)
 
     def test_degenerate_denominator_rejected(self):

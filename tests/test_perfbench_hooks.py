@@ -18,6 +18,8 @@ import pytest
 from kerrsteady import cli
 from kerrsteady.exact_twophoton import _XCHECK_TOL, wavefunction_twophoton
 
+from conftest import DATA_DIR
+
 PERFBENCH = pathlib.Path(__file__).resolve().parent.parent / "perfbench"
 
 
@@ -49,6 +51,27 @@ def test_spot_gap_on_traced_reference_point(tracing, twophoton_params):
     assert params == twophoton_params
     gap = tracing._spot_gap(params, betas)
     assert 0.0 <= gap <= _XCHECK_TOL
+
+
+def test_traced_golden_exact_sweep_builds_once_per_point(tracing, tmp_path):
+    target = tmp_path / "out.csv"
+    tracer = tracing.Tracer()
+    tracer.install()
+    try:
+        code = cli.main([
+            "exact-sweep", "--unit", "gamma", "--delta-c", "5", "--chi", "-0.25",
+            "--gamma", "1", "--omega-from", "0", "--omega-to", "8", "--omega-step", "0.5",
+            "-o", str(target)])
+    finally:
+        tracer.uninstall()
+    assert code == 0
+    assert target.read_bytes() == (DATA_DIR / "golden_exact_sweep.csv").read_bytes()
+    metrics = tracing.layer_metrics(tracer.spans, 0, len(tracer.spans))
+    points = sum(1 for name, *_ in tracer.spans if name == "exact_linear.exact_drive_point")
+    assert points == 17
+    assert metrics["exact_linear.builds_per_point"] == 1.0
+    assert metrics["specfun.hyp0f2.calls"] == points
+    assert metrics["specfun.hyp0f2_ratio.calls"] == 3 * points
 
 
 def test_layer_metrics_over_traced_cli_runs(tracing, tmp_path):
