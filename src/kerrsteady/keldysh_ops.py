@@ -15,17 +15,21 @@ The two bases are built by independent transcriptions and related only
 through the explicit mixing unitary, which makes the basis-equivalence
 test a real check rather than a tautology.
 
-The generators are assembled from sparse kron lifts of the oracle's
-single-mode lindblad_oracle.fock_annihilation (and hamiltonian_fock for
-the two plus/minus copies), term by term in the order of the formulas
-below, and densified once per returned matrix, so every entry equals
-the one a dense matmul build gives.  They are stored dense and row-major
-(a column-major copy changes the last digits of the residual's
+The cl_q generator is assembled straight from index arrays: each term
+is one lifted ladder monomial, which moves every level (n1, n2) by a
+fixed step, scaled by a diagonal, and its values are formed by the same
+floating-point operations, in the same order, as the operator products
+of the oracle's single-mode lindblad_oracle.fock_annihilation ladders,
+so every entry equals the one a matrix-product build gives.  The
+plus/minus generator stays an operator-algebra transcription (sparse
+kron lifts of those ladders and of hamiltonian_fock), the independent
+side of the basis check.  Both are stored dense and row-major (a
+column-major copy changes the last digits of the residual's
 matrix-vector product): the 16 d^2 bytes of OperatorMatrix.entries,
 d = (c+1)(q+1), are the memory bound (36 MB at cutoffs (300, 4)).  The
-mixing unitary's generator is lifted the same way and densified once
-for a dense expm.  scipy is imported by the functions that use it, so
-importing this module loads numpy only.
+mixing unitary is built one total-photon sector at a time from small
+Hermitian eigenproblems.  scipy.sparse is imported only by the
+plus/minus builder, so importing this module loads numpy only.
 """
 
 from __future__ import annotations
@@ -106,36 +110,76 @@ def _annihilators(cutoffs: tuple[int, int]) -> tuple[sp.csr_matrix, sp.csr_matri
     )
 
 
+# A lifted ladder monomial moves level (n1, n2) to (n1 + s1, n2 + s2) with
+# s1, s2 in {-1, 0, +1}: it reads the source levels _SRC[s] of a mode
+# and writes the destination levels _DST[s].
+_SRC = {-1: slice(1, None), 0: slice(None), 1: slice(None, -1)}
+_DST = {-1: slice(None, -1), 0: slice(None), 1: slice(1, None)}
+
+
 def _clq_parts(
     params: ModelParams, cutoffs: tuple[int, int]
-) -> tuple[sp.csr_matrix, sp.csr_matrix]:
-    import scipy.sparse as sp
+) -> tuple[list, list]:
+    """Raising and non-raising parts as (shift, values) terms.
 
-    acl, aq = _annihilators(cutoffs)
-    acld, aqd = acl.conj().T, aq.conj().T
-    ncl, nq = acld @ acl, aqd @ aq
-    eye = sp.identity(acl.shape[0], dtype=complex, format="csr")
+    values[i, j] is the element taking the source level (i, j) of the
+    shift's _SRC grid to its shifted level.  Each value is formed by the
+    operations, in the order, that the operator products
+
+        up   = (dc - i g/2) aq^+ acl + chi (Ncl + Nq - 1) aq^+ acl
+               + i sqrt2 om aq^+ - (i kap/2) (Ncl - Nq + 1) aq^+ acl
+               + lam aq^+ acl^+
+        down = (dc + i g/2) acl^+ aq + chi (Ncl + Nq - 1) acl^+ aq
+               - i sqrt2 om aq + (i kap/2) acl^+ aq (Ncl - Nq + 1)
+               - (i g + 2 i kap Ncl) aq^+ aq + lam^* acl aq
+
+    of the fock_annihilation ladders carry out, so every entry is the
+    one a matrix-product build gives.  All three pair hops share one
+    value grid, sqrt of the upper level of each mode they touch.
+    cutoffs must already have passed _check_cutoffs.
+    """
+    m1, m2 = cutoffs
+    s1 = np.sqrt(np.arange(m1 + 1.0))[:, None]
+    s2 = np.sqrt(np.arange(m2 + 1.0))[None, :]
+    ncl, nq = s1 * s1, s2 * s2
+    kerr = ncl + nq - 1.0
+    loss = ncl - nq + 1.0
+    hop = s2[:, 1:] * s1[1:]
 
     dc, chi, om = params.delta_c, params.chi, params.omega
     g, kap, lam = params.gamma, params.kappa, params.lambda_2ph
     sq2 = math.sqrt(2.0)
 
-    up = (
-        0.5 * (2.0 * dc - 1j * g) * (aqd @ acl)
-        + chi * ((ncl + nq - eye) @ (aqd @ acl))
-        + 1j * sq2 * om * aqd
-        - 0.5j * kap * ((ncl - nq + eye) @ (aqd @ acl))
-        + lam * (aqd @ acld)
-    )
-    down = (
-        0.5 * (2.0 * dc + 1j * g) * (acld @ aq)
-        + chi * ((ncl + nq - eye) @ (acld @ aq))
-        - 1j * sq2 * om * aq
-        + 0.5j * kap * ((acld @ aq) @ (ncl - nq + eye))
-        - (1j * g * eye + 2j * kap * ncl) @ (aqd @ aq)
-        + np.conj(lam) * (acl @ aq)
-    )
+    up = [
+        ((-1, 1), 0.5 * (2.0 * dc - 1j * g) * hop
+                  + chi * (kerr[:-1, 1:] * hop)
+                  - 0.5j * kap * (loss[:-1, 1:] * hop)),
+        ((0, 1), 1j * sq2 * om * s2[:, 1:]),
+        ((1, 1), lam * hop),
+    ]
+    down = [
+        ((1, -1), 0.5 * (2.0 * dc + 1j * g) * hop
+                  + chi * (kerr[1:, :-1] * hop)
+                  + 0.5j * kap * (hop * loss[:-1, 1:])),
+        ((0, -1), -(1j * sq2 * om * s2[:, 1:])),
+        ((0, 0), -((1j * g + 2j * kap * ncl) * nq)),
+        ((-1, -1), np.conj(lam) * hop),
+    ]
     return up, down
+
+
+def _assemble(cutoffs: tuple[int, int], *parts: list) -> np.ndarray:
+    """Row-major dense matrix holding every term of the given parts.
+
+    No two terms share a shift, so each entry is written once.
+    """
+    m1, m2 = cutoffs
+    level = np.arange((m1 + 1) * (m2 + 1)).reshape(m1 + 1, m2 + 1)
+    out = np.zeros((level.size, level.size), dtype=complex)
+    for part in parts:
+        for (d1, d2), values in part:
+            out[level[_DST[d1], _DST[d2]], level[_SRC[d1], _SRC[d2]]] = values
+    return out
 
 
 def hamiltonian_parts_clq(
@@ -147,10 +191,11 @@ def hamiltonian_parts_clq(
     level; the second never raises that level and kills any state in the
     quantum-mode vacuum.  Their sum is the full generator.
     """
+    cutoffs = _check_cutoffs(cutoffs)
     up, down = _clq_parts(params, cutoffs)
     return (
-        OperatorMatrix(up.toarray(order="C"), CL_Q, cutoffs),
-        OperatorMatrix(down.toarray(order="C"), CL_Q, cutoffs),
+        OperatorMatrix(_assemble(cutoffs, up), CL_Q, cutoffs),
+        OperatorMatrix(_assemble(cutoffs, down), CL_Q, cutoffs),
     )
 
 
@@ -181,8 +226,8 @@ def build_generalized_hamiltonian_clq(
     params: ModelParams, cutoffs: tuple[int, int]
 ) -> OperatorMatrix:
     """Full doubled-space generator in the classical/quantum basis."""
-    up, down = _clq_parts(params, cutoffs)
-    return OperatorMatrix((up + down).toarray(order="C"), CL_Q, cutoffs)
+    cutoffs = _check_cutoffs(cutoffs)
+    return OperatorMatrix(_assemble(cutoffs, *_clq_parts(params, cutoffs)), CL_Q, cutoffs)
 
 
 def build_generalized_hamiltonian_pm(
@@ -200,18 +245,41 @@ def build_generalized_hamiltonian_pm(
 def mixing_unitary(cutoffs: tuple[int, int]) -> np.ndarray:
     """Rotation carrying plus/minus operators to classical/quantum ones.
 
-    A parity flip on the second mode composed with a 50/50 beam-splitter
-    rotation.  Exact only on subspaces whose total photon number fits
-    under both cutoffs; outside them the beam splitter leaks through the
-    truncation.
-    """
-    from scipy.linalg import expm
+    A parity flip on the second mode composed with the 50/50 beam
+    splitter exp(pi/4 (b1^+ b2 - b1 b2^+)) of the truncated ladders.  The
+    generator conserves n1 + n2, so the rotation is built one total-photon
+    sector at a time: there the generator is a real antisymmetric
+    tridiagonal G of at most min(cutoffs) + 1 states, exponentiated through
+    the eigenvectors of the Hermitian iG.  Sectors cut by the box take the
+    same path with the truncated G.  The exact rotation is real
+    orthogonal, so only the real part is kept.
 
+    Exact only on sectors whose total photon number fits under both
+    cutoffs; outside them the beam splitter leaks through the truncation.
+    """
     m1, m2 = _check_cutoffs(cutoffs)
-    b1, b2 = _annihilators((m1, m2))
-    w = expm((math.pi / 4.0) * (b1.conj().T @ b2 - b1 @ b2.conj().T).toarray(order="C"))
+    level = np.arange((m1 + 1) * (m2 + 1)).reshape(m1 + 1, m2 + 1)
+    w = np.zeros((level.size, level.size), dtype=complex)
+    photons = np.arange(m1 + m2 + 1)
+    first = np.maximum(photons - m2, 0)
+    size = np.minimum(photons, m1) - first + 1
+    for k in np.unique(size):
+        # every sector of k states at once, n1 rising along the last axis
+        total = photons[size == k][:, None]
+        n1 = first[size == k][:, None] + np.arange(k)
+        low = n1[:, :-1]
+        # pi/4 <n1+1, N-n1-1| b1^+ b2 |n1, N-n1>, the subdiagonal of G
+        hop = (math.pi / 4.0) * np.sqrt((low + 1.0) * (total - low))
+        gen = np.zeros((total.size, k, k))
+        step = np.arange(k - 1)
+        gen[:, step + 1, step] = hop
+        gen[:, step, step + 1] = -hop
+        vals, vecs = np.linalg.eigh(1j * gen)
+        block = (vecs * np.exp(-1j * vals)[:, None, :]) @ vecs.conj().swapaxes(1, 2)
+        states = level[n1, total - n1]
+        w[states[:, :, None], states[:, None, :]] = block.real
     # the parity flip: negate the rows of odd second-mode level
-    w[np.tile(np.arange(m2 + 1) % 2 == 1, m1 + 1)] *= -1.0
+    w[level[:, 1::2].ravel()] *= -1.0
     return w
 
 

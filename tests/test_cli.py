@@ -40,6 +40,7 @@ RESIDUAL_ARGS = [
     "residual", "--delta-c", "5", "--chi", "-0.25", "--gamma", "1", "--omega", "4",
     "--cutoff-cl", "60", "--cutoff-q", "4", "--interior", "50",
 ]
+GOLDEN_RESIDUAL = json.loads((DATA_DIR / "golden_residual.json").read_text())["cases"]
 
 
 def run_python(args):
@@ -121,6 +122,22 @@ class TestHappyPaths:
         assert payload["residual_norm"] == want.residual_norm
         assert payload["edge_norm"] == want.edge_norm
         assert payload["residual_norm"] <= 1e-8
+
+    @pytest.mark.parametrize("case", GOLDEN_RESIDUAL, ids=[c["id"] for c in GOLDEN_RESIDUAL])
+    def test_residual_matches_golden(self, tmp_path, case):
+        """Frozen residual reports, byte for byte.
+
+        golden_residual.json was written by running main(case["argv"])
+        under contextlib.redirect_stdout for each case and storing the
+        captured text under "stdout", with the kerrsteady whose cl_q
+        generator was a sum of sparse ladder products and whose mixing
+        unitary was a dense expm.  The cases are the README point and
+        the two-photon reference point at cutoffs (60, 4), (120, 4),
+        (180, 4) and (60, 1), each with interior cut cutoff - 10.
+        """
+        code, target = run_to_file(tmp_path, case["argv"], "report.json")
+        assert code == 0
+        assert target.read_bytes() == case["stdout"].encode()
 
     def test_resonance_scan_at_small_drive(self, tmp_path):
         # at omega = 1e-8 the odd Gauss sums are O(omega); every row must
@@ -224,6 +241,27 @@ class TestHappyPaths:
         )
         assert proc.returncode == 0, proc.stderr
         assert proc.stdout.strip() == "[]"
+
+    def test_doubled_space_leaves_scipy_linalg_unloaded(self):
+        # the residual certificate needs numpy only; the mixing unitary
+        # needs no dense matrix functions, and the plus/minus builder
+        # loads scipy.sparse alone
+        script = (
+            "import sys\n"
+            "from kerrsteady.cli import main\n"
+            "from kerrsteady.keldysh_ops import (build_generalized_hamiltonian_pm,\n"
+            "    convert_basis, mixing_unitary)\n"
+            "from kerrsteady.model import ModelParams\n"
+            f"assert main({RESIDUAL_ARGS!r}) == 0\n"
+            "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))\n"
+            "mixing_unitary((6, 4))\n"
+            "p = ModelParams(delta_c=5.0, chi=-0.25, omega=4.0, gamma=1.0)\n"
+            "convert_basis(build_generalized_hamiltonian_pm(p, (6, 4)), 'cl_q')\n"
+            "print('scipy.linalg' in sys.modules)\n"
+        )
+        proc = run_python(["-c", script])
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.splitlines()[-2:] == ["[]", "False"]
 
 
 class TestDeterminism:
