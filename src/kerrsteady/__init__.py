@@ -71,7 +71,6 @@ from .lindblad_oracle import (
 from .meanfield import (
     MeanFieldBranch,
     bistable_window,
-    classify_stability,
     drive_point_branches,
     photon_number_branches,
     sweep_drive,

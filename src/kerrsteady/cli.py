@@ -201,7 +201,7 @@ def _cmd_meanfield_sweep(args) -> int:
     meta = {"command": "meanfield-sweep", "grid": grid, "params": params.to_dict()}
     rows = [
         [omega, idx, branch.n, branch.a0.real, branch.a0.imag,
-         bool(branch.stable), branch.degenerate]
+         branch.stable, branch.degenerate]
         for omega, branches in zip(omegas, per_point)
         for idx, branch in enumerate(branches)
     ]
@@ -275,8 +275,6 @@ def _cmd_validate(args) -> int:
         if not 0.0 < tol < math.inf:
             raise _UsageError(f"{flag} must be positive and finite, got {tol}")
     manifest = _load_json(args.manifest)
-    if isinstance(manifest, dict):
-        manifest = manifest.get("cases")
     if not isinstance(manifest, list) or not manifest:
         raise _UsageError("manifest must be a nonempty JSON list of cases")
     rows = []

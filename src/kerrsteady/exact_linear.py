@@ -113,9 +113,11 @@ def _ladder(
     pole or overflow.  Adaptively (truncation None) the climb stops when
     the tail rule fires and raises NonConvergence past max_truncation;
     with a fixed truncation it computes exactly that many levels and
-    reports whether the rule held there.  The stopping rule lives here
-    and nowhere else, so a proven tail bound from the term ratio replaces
-    the run rule in this one place.
+    reports whether the rule held there.  Either way, a squared-amplitude
+    sum past the double range raises NonConvergence naming the Fock index
+    where it ran out.  The stopping rule lives here and nowhere else, so
+    a proven tail bound from the term ratio replaces the run rule in this
+    one place.
     """
     if truncation is not None:
         truncation = _check_fock_size("truncation", truncation, 0)
@@ -125,9 +127,14 @@ def _ladder(
     limit = max_truncation if truncation is None else truncation
     for m in range(1, limit + 1):
         betas.append(step(m, betas))
-        w = abs(betas[-1]) ** 2
+        try:
+            w = abs(betas[-1]) ** 2
+        except OverflowError:
+            w = math.inf
         weights.append(w)
         total += w
+        if not total < math.inf:  # nan too
+            raise NonConvergence(f"amplitude weight leaves the double range at Fock index {m}")
         if truncation is None and _tail_rule_fired(weights, total, tail_tol):
             return betas, True
     if truncation is None:
@@ -135,6 +142,18 @@ def _ladder(
             f"amplitude tail not negligible by Fock index {max_truncation}"
         )
     return betas, _tail_rule_fired(weights, total, tail_tol)
+
+
+def _drive_argument(epsilon: complex) -> float:
+    """The 0F2 argument 2 |epsilon|^2, refused once it leaves the double range."""
+    try:
+        w = 2.0 * abs(epsilon) ** 2
+    except OverflowError:
+        w = math.inf
+    if not w < math.inf:
+        raise NonConvergence(
+            f"the 0F2 argument 2|epsilon|^2 leaves the double range at epsilon={epsilon!r}")
+    return w
 
 
 def _recursion_amplitudes(
@@ -232,8 +251,7 @@ def wavefunction_linear(params: ModelParams, truncation: int | None = None) -> S
     derived = derive_linear(params)
     wf = _package(*_recursion_amplitudes(params, _TAIL_TOL, _MAX_TRUNCATION, truncation))
     norm_series = wf.norm_constant
-    w = 2.0 * abs(derived.epsilon) ** 2
-    norm_hyper = hyp0f2(derived.x.conjugate(), derived.x, w).value
+    norm_hyper = hyp0f2(derived.x.conjugate(), derived.x, _drive_argument(derived.epsilon)).value
     if abs(norm_hyper.imag) > _NORM_XCHECK_TOL * abs(norm_hyper) or not math.isclose(
         norm_series, norm_hyper.real, rel_tol=_NORM_XCHECK_TOL
     ):
@@ -280,7 +298,7 @@ def _linear_moments(params: ModelParams, orders) -> list[CorrelationResult]:
     _require_coherent_drive(params)
     derived = derive_linear(params)
     eps, x = derived.epsilon, derived.x
-    w, xc = 2.0 * abs(eps) ** 2, x.conjugate()
+    w, xc = _drive_argument(eps), x.conjugate()
     wf, out = None, []
     for l, k in orders:
         value = (eps.conjugate() ** l * eps**k / (pochhammer(xc, l) * pochhammer(x, k))

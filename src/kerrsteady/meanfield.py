@@ -10,20 +10,24 @@ has fixed points a0 whose occupation n = |a0|^2 solves the real cubic
         - 4 omega^2 = 0.
 
 Opposite signs of detuning and Kerr coefficient open a drive window with
-three coexisting branches (optical bistability); linear stability of each
-branch follows from the 2x2 Jacobian of the fluctuation equations.
+three coexisting branches (optical bistability).  A branch is linearly
+stable when both eigenvalues of the fluctuation Jacobian in (delta a, delta a*),
 
-Roots come from Cardano's closed form with a Newton polish, not from a
-companion matrix, so the independent eigenvalue-based route stays free for
-cross-checks.
+    [[-i D - gamma/2, -2 i chi a0^2], [2 i chi conj(a0)^2, i D - gamma/2]],
+    D = delta_c + 4 chi n,
+
+have negative real part.  Its trace is -gamma and its determinant
+D^2 + gamma^2/4 - 4 chi^2 n^2, so they are -gamma/2 +- sqrt(4 chi^2 n^2 - D^2).
+Roots (Cardano's form with a Newton polish) and stability both come in
+closed form, so a companion matrix and an eigenvalue solver stay free as
+the tests' independent routes.
 """
 
 from __future__ import annotations
 
+import cmath
 import math
 from dataclasses import dataclass, replace
-
-import numpy as np
 
 from .errors import InvalidParams, InvariantViolation
 from .model import ModelParams, _at_drive, _at_grid, _require_coherent_drive
@@ -41,32 +45,30 @@ class MeanFieldBranch:
         Steady occupation |a0|^2.
     a0 : complex
         Steady field amplitude.
-    stable : bool | None
-        Linear stability; None until classified.
-    eigenvalues : tuple[complex, complex] | None
+    stable : bool
+        Linear stability: both Jacobian eigenvalues have real part below
+        minus a numerical margin.  A real part within the margin of zero
+        (a fold) counts as unstable.
+    eigenvalues : tuple[complex, complex]
         Jacobian eigenvalues of the fluctuation dynamics.
     degenerate : bool
         True when another branch sits within 1e-7 relative in n (near a
         fold of the bistability window, where the cubic has a double root).
-    marginal : bool
-        True when an eigenvalue real part is numerically zero; such
-        branches are reported unstable.
     """
 
     n: float
     a0: complex
-    stable: bool | None = None
-    eigenvalues: tuple[complex, complex] | None = None
+    stable: bool
+    eigenvalues: tuple[complex, complex]
     degenerate: bool = False
-    marginal: bool = False
 
 
-def _cubic_coeffs(params: ModelParams, omega: float) -> tuple[float, float, float, float]:
+def _cubic_coeffs(params: ModelParams) -> tuple[float, float, float, float]:
     return (
         16.0 * params.chi**2,
         16.0 * params.chi * params.delta_c,
         4.0 * params.delta_c**2 + params.gamma**2,
-        -4.0 * omega**2,
+        -4.0 * params.omega**2,
     )
 
 
@@ -129,26 +131,35 @@ def _polish(n: float, a: float, b: float, c: float, d: float) -> float:
 
 
 def photon_number_branches(params: ModelParams) -> list[MeanFieldBranch]:
-    """All physical (n >= 0) fixed points, sorted ascending in occupation.
-
-    Stability fields are left unclassified; run each branch through
-    :func:`classify_stability` or use :func:`drive_point_branches` which
-    does both.
+    """All physical (n >= 0) fixed points, classified, sorted ascending in occupation.
 
     Raises
     ------
     UnsupportedModel
         If two-photon terms are present; the semiclassical reduction here
         covers only the coherently driven model.
+    InvalidParams
+        If the cubic, its roots or their checks leave the double range.
     InvariantViolation
         If a polished root fails the cubic residual check or |a0|^2
         drifts from n beyond tolerance.
     """
     _require_coherent_drive(params)
-    om = params.omega
+    try:
+        return _fixed_points(params)
+    except OverflowError:
+        raise InvalidParams(
+            f"the mean-field cubic leaves the double range at delta_c={params.delta_c!r}, "
+            f"chi={params.chi!r}, gamma={params.gamma!r}, omega={params.omega!r}"
+        ) from None
 
-    a, b, c, d = _cubic_coeffs(params, om)
+
+def _fixed_points(params: ModelParams) -> list[MeanFieldBranch]:
+    a, b, c, d = coeffs = _cubic_coeffs(params)
     candidates = sorted(_polish(n, a, b, c, d) for n in _cardano_real_roots(a, b, c, d))
+    # past the double range a power raises OverflowError, but * and / give inf or nan
+    if not all(map(math.isfinite, (*coeffs, *candidates))):
+        raise OverflowError
 
     scale = max(abs(d), params.gamma**2, 1.0)
     branches = []
@@ -161,71 +172,42 @@ def photon_number_branches(params: ModelParams) -> list[MeanFieldBranch]:
         resid = abs(((a * n + b) * n + c) * n + d)
         local = max(abs(a) * n**3, abs(b) * n**2, abs(c) * n, abs(d), 1e-300)
         # term-magnitude scale for large roots, absolute anchor for roots
-        # driven into the subnormal range by omega ~ 0
-        if resid > max(1e-6 * local, 1e-9 * max(1.0, abs(d))):
+        # driven into the subnormal range by omega ~ 0; a nan fails
+        if not resid <= max(1e-6 * local, 1e-9 * max(1.0, abs(d))):
             raise InvariantViolation(
                 f"cubic residual {resid:.3e} exceeds tolerance at n={n!r}"
             )
-        a0 = -2j * om / (2.0 * params.delta_c - 1j * params.gamma + 4.0 * params.chi * n)
-        if abs(abs(a0) ** 2 - n) > 1e-6 * max(n, 1e-12):
+        a0 = -2j * params.omega / (2.0 * params.delta_c - 1j * params.gamma + 4.0 * params.chi * n)
+        if not abs(abs(a0) ** 2 - n) <= 1e-6 * max(n, 1e-12):
             raise InvariantViolation(
                 f"|a0|^2 = {abs(a0)**2!r} inconsistent with root n = {n!r}"
             )
-        branches.append(MeanFieldBranch(n=n, a0=a0))
+        # a polished copy of the root just kept is dropped
+        if not branches or abs(n - branches[-1].n) > 1e-13 * max(abs(n), 1.0):
+            branches.append(_classified(n, a0, params))
 
-    # De-duplicate polished copies of the same root, then flag near-pairs.
-    unique: list[MeanFieldBranch] = []
-    for br in branches:
-        if unique and abs(br.n - unique[-1].n) <= 1e-13 * max(abs(br.n), 1.0):
-            continue
-        unique.append(br)
-    for i in range(len(unique) - 1):
-        lo, hi = unique[i].n, unique[i + 1].n
+    for i in range(len(branches) - 1):
+        lo, hi = branches[i].n, branches[i + 1].n
         if hi - lo <= _DEGENERATE_REL * max(abs(hi), abs(lo), 1e-12):
-            unique[i] = replace(unique[i], degenerate=True)
-            unique[i + 1] = replace(unique[i + 1], degenerate=True)
-    return unique
+            branches[i] = replace(branches[i], degenerate=True)
+            branches[i + 1] = replace(branches[i + 1], degenerate=True)
+    return branches
 
 
-def classify_stability(branch: MeanFieldBranch, params: ModelParams) -> MeanFieldBranch:
-    """Fill in linear stability of one fixed point.
-
-    The fluctuation Jacobian in (delta a, delta a*) coordinates is
-
-        [[-i (delta_c + 4 chi n) - gamma/2,  -2 i chi a0^2        ],
-         [ 2 i chi conj(a0)^2,                i (delta_c + 4 chi n) - gamma/2]]
-
-    and the branch is stable when both eigenvalues have negative real
-    part.  Real parts within the numerical margin of zero are flagged
-    marginal and reported unstable.
-    """
-    _require_coherent_drive(params)
-    n, a0 = branch.n, branch.a0
-    diag = params.delta_c + 4.0 * params.chi * n
-    jac = np.array(
-        [
-            [-1j * diag - params.gamma / 2.0, -2j * params.chi * a0**2],
-            [2j * params.chi * np.conj(a0) ** 2, 1j * diag - params.gamma / 2.0],
-        ],
-        dtype=complex,
-    )
-    ev = np.linalg.eigvals(jac)
+def _classified(n: float, a0: complex, params: ModelParams) -> MeanFieldBranch:
+    """The fixed point (n, a0), classified by the Jacobian eigenvalues of the module docstring."""
+    chi_n = params.chi * n
+    # 4 chi^2 n^2 - D^2, factored: exact zero where a factor vanishes
+    root = cmath.sqrt(-(params.delta_c + 2.0 * chi_n) * (params.delta_c + 6.0 * chi_n))
+    half = params.gamma / 2.0
     margin = 1e-9 * max(params.gamma, abs(params.delta_c), abs(params.chi) * max(n, 1.0))
-    worst = max(ev.real)
-    marginal = abs(worst) <= margin
-    stable = bool(worst < -margin)
-    return replace(
-        branch,
-        stable=stable,
-        eigenvalues=(complex(ev[0]), complex(ev[1])),
-        marginal=marginal,
-    )
+    return MeanFieldBranch(n=n, a0=a0, stable=root.real - half < -margin,
+                           eigenvalues=(root - half, -root - half))
 
 
 def drive_point_branches(params: ModelParams, omega: float) -> list[MeanFieldBranch]:
     """Classified branches at one drive amplitude, sorted ascending in n."""
-    at_om = _at_drive(params, omega)
-    return [classify_stability(br, at_om) for br in photon_number_branches(at_om)]
+    return photon_number_branches(_at_drive(params, omega))
 
 
 def sweep_drive(params: ModelParams, omega_grid) -> list[tuple[float, list[MeanFieldBranch]]]:

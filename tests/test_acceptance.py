@@ -28,7 +28,7 @@ from kerrsteady.keldysh_ops import (
     steady_residual,
 )
 from kerrsteady.lindblad_oracle import adaptive_cutoff
-from kerrsteady.meanfield import classify_stability, photon_number_branches
+from kerrsteady.meanfield import photon_number_branches
 from kerrsteady.model import ModelParams, derive_linear, derive_twophoton
 from kerrsteady.specfun import hyp0f2, hyp2f1_terminating
 
@@ -71,7 +71,7 @@ def test_criterion_01_meanfield_bistable_window():
     for i in range(161):
         omega = 0.05 * i
         p = LINEAR_POINT.replace(omega=omega)
-        branches = [classify_stability(b, p) for b in photon_number_branches(p)]
+        branches = photon_number_branches(p)
 
         a = 16.0 * p.chi**2
         b = 16.0 * p.chi * p.delta_c

@@ -446,6 +446,15 @@ class TestUsageErrors:
         assert main(["validate", "--manifest", str(manifest)]) == 2
         capsys.readouterr()
 
+    def test_dict_manifest_exits_two(self, tmp_path, capsys):
+        # a manifest is a list of cases; a {"cases": [...]} wrapper is refused
+        manifest = tmp_path / "cases.json"
+        manifest.write_text(json.dumps({"cases": [
+            {"params": {"delta_c": 5.0, "chi": -0.25, "gamma": 1.0, "omega": 2.0}},
+        ]}))
+        assert main(["validate", "--manifest", str(manifest)]) == 2
+        assert "manifest must be a nonempty JSON list" in capsys.readouterr().err
+
     @pytest.mark.parametrize("order", ["-1", "17"])
     def test_moment_order_flag_out_of_range(self, tmp_path, capsys, order):
         target = tmp_path / "never.csv"
@@ -521,6 +530,37 @@ class TestDomainErrors:
         err = capsys.readouterr().err
         assert rule in err
         assert "derive_" not in err
+
+    @pytest.mark.parametrize(
+        "args, where",
+        [
+            (["exact-sweep", "--delta-c", "5", "--chi", "-0.25", "--gamma", "1",
+              "--omega-from", "1e200", "--omega-to", "1e200", "--omega-step", "1"],
+             "the 0F2 argument 2|epsilon|^2 leaves the double range"),
+            (["residual", "--delta-c", "5", "--chi", "-0.25", "--gamma", "1",
+              "--omega", "1e200"],
+             "amplitude weight leaves the double range at Fock index 1"),
+            (["resonance-scan", "--chi", "1", "--gamma", "0.1", "--omega", "0.1",
+              "--lambda2", "1e3", "--kappa", "0.1",
+              "--delta-from", "0", "--delta-to", "0", "--delta-step", "1"],
+             "amplitude weight leaves the double range at Fock index 348"),
+            (["meanfield-sweep", "--delta-c", "5", "--chi", "-0.25", "--gamma", "1",
+              "--omega-from", "1e200", "--omega-to", "1e200", "--omega-step", "1"],
+             "the mean-field cubic leaves the double range"),
+            (["meanfield-sweep", "--delta-c", "5", "--chi", "-0.25", "--gamma", "1",
+              "--omega-from", "1e100", "--omega-to", "1e100", "--omega-step", "1"],
+             "the mean-field cubic leaves the double range"),
+        ],
+        ids=["exact-sweep-1e200", "residual-1e200", "resonance-scan-lambda1e3",
+             "meanfield-sweep-1e200", "meanfield-sweep-1e100"],
+    )
+    def test_overflow_exits_one_with_one_error_line(self, capsys, args, where):
+        # past the double range a command refuses; it never prints nan rows
+        assert main(args) == 1
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert where in err and "Traceback" not in err
 
     def test_negative_rate_exits_one(self, capsys):
         code = main(["meanfield-sweep", "--delta-c", "5", "--chi", "-0.25",

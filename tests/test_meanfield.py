@@ -2,8 +2,9 @@
 
 Root values are pinned against 60-digit polynomial solves frozen in
 tests/data, and independently against numpy's companion-matrix roots.
-The stability classifier is checked by integrating the classical
-equation of motion with a throwaway RK4 stepper.
+The closed-form stability is checked against numpy's eigenvalues of the
+printed Jacobian and by integrating the classical equation of motion
+with a throwaway RK4 stepper.
 """
 
 import numpy as np
@@ -14,7 +15,6 @@ from hypothesis import strategies as st
 from kerrsteady.errors import InvalidParams, UnsupportedModel
 from kerrsteady.meanfield import (
     bistable_window,
-    classify_stability,
     drive_point_branches,
     photon_number_branches,
     sweep_drive,
@@ -89,6 +89,41 @@ def test_two_photon_params_rejected():
         )
 
 
+def jacobian_eigvals(branch, p):
+    """Independent stability oracle: numpy eigenvalues of the fluctuation Jacobian.
+
+    Returns the eigenvalues and the stability verdict under the library's
+    margin rule.
+    """
+    diag = p.delta_c + 4.0 * p.chi * branch.n
+    a0 = branch.a0
+    jac = np.array(
+        [
+            [-1j * diag - p.gamma / 2.0, -2j * p.chi * a0**2],
+            [2j * p.chi * np.conj(a0) ** 2, 1j * diag - p.gamma / 2.0],
+        ],
+        dtype=complex,
+    )
+    ev = np.linalg.eigvals(jac)
+    margin = 1e-9 * max(p.gamma, abs(p.delta_c), abs(p.chi) * max(branch.n, 1.0))
+    return ev, bool(max(ev.real) < -margin)
+
+
+@pytest.mark.parametrize(
+    "p",
+    [
+        drive_family(1e200),  # the cubic's constant term overflows
+        drive_family(1e100),  # Cardano's intermediates overflow
+        # a representable root n = 4e200 whose residual terms n^3 overflow
+        ModelParams(delta_c=0.0, chi=0.0, omega=1.0, gamma=1e-100),
+    ],
+    ids=["omega-1e200", "omega-1e100", "cubed-root"],
+)
+def test_double_range_overflow_refused(p):
+    with pytest.raises(InvalidParams, match="^the mean-field cubic leaves the double range"):
+        photon_number_branches(p)
+
+
 sampled_params = st.builds(
     ModelParams,
     delta_c=st.floats(min_value=-10.0, max_value=10.0),
@@ -131,9 +166,20 @@ class TestAgainstCompanionOracle:
 
 
 class TestStability:
+    @given(p=sampled_params)
+    def test_closed_form_matches_jacobian_eigvals(self, p):
+        for b in photon_number_branches(p):
+            ev, stable = jacobian_eigvals(b, p)
+            scale = max(p.gamma, abs(p.delta_c + 4.0 * p.chi * b.n), abs(p.chi) * max(b.n, 1.0))
+            (g0, g1), (w0, w1) = b.eigenvalues, ev
+            # the eigenvalues pair up in one order or the other
+            gap = min(max(abs(g0 - w0), abs(g1 - w1)), max(abs(g0 - w1), abs(g1 - w0)))
+            assert gap <= 1e-10 * scale
+            assert b.stable is stable
+
     def test_vacuum_eigenvalues(self):
         p = ModelParams(delta_c=3.0, chi=-0.5, omega=0.0, gamma=0.8)
-        b = classify_stability(photon_number_branches(p)[0], p)
+        (b,) = photon_number_branches(p)
         assert b.stable
         got = sorted(ev.imag for ev in b.eigenvalues)
         assert got == pytest.approx([-3.0, 3.0], rel=1e-12)
@@ -142,13 +188,11 @@ class TestStability:
 
     def test_middle_branch_unstable_in_bistable_region(self):
         p = drive_family(4.0)
-        branches = [classify_stability(b, p) for b in photon_number_branches(p)]
-        assert [b.stable for b in branches] == [True, False, True]
+        assert [b.stable for b in photon_number_branches(p)] == [True, False, True]
 
     def test_single_branch_agrees_with_time_stepper(self):
         p = drive_family(0.8)
         (branch,) = photon_number_branches(p)
-        branch = classify_stability(branch, p)
         assert branch.stable
 
         def rhs(a):

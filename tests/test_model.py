@@ -14,12 +14,7 @@ from kerrsteady.exact_twophoton import (
     wavefunction_twophoton,
     wavefunction_via_three_term,
 )
-from kerrsteady.meanfield import (
-    MeanFieldBranch,
-    classify_stability,
-    drive_point_branches,
-    photon_number_branches,
-)
+from kerrsteady.meanfield import drive_point_branches, photon_number_branches
 from kerrsteady.model import (
     ModelParams,
     derive_linear,
@@ -82,10 +77,8 @@ def test_numpy_scalars_pass_as_rates():
         wavefunction_linear,
         lambda p: correlation_linear(p, 1, 1),
         photon_number_branches,
-        lambda p: classify_stability(MeanFieldBranch(n=0.0, a0=0j), p),
     ],
-    ids=["wavefunction_linear", "correlation_linear", "photon_number_branches",
-         "classify_stability"],
+    ids=["wavefunction_linear", "correlation_linear", "photon_number_branches"],
 )
 @pytest.mark.parametrize("two_photon", [{"lambda_2ph": 0.2}, {"kappa": 0.1}], ids=["pump", "loss"])
 def test_coherent_drive_solvers_share_one_refusal(solve, two_photon):
