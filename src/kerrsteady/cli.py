@@ -24,7 +24,7 @@ import math
 import os
 import sys
 from concurrent.futures import ProcessPoolExecutor
-from functools import partial
+from functools import cache, partial
 
 from .errors import InvalidParams, KerrSteadyError
 from .exact_linear import correlation_linear, exact_drive_point
@@ -310,7 +310,9 @@ def _cmd_validate(args) -> int:
     return 0 if all_pass else 1
 
 
+@cache
 def _build_parser() -> argparse.ArgumentParser:
+    """The CLI's parser, built once per process; parsing leaves it unchanged."""
     parser = argparse.ArgumentParser(
         prog="kerrsteady",
         description="Exact steady states of driven-dissipative Kerr resonators.",

@@ -6,12 +6,21 @@ The master equation for the driven Kerr resonator,
     D[c] rho = c rho c^dag - (c^dag c rho + rho c^dag c) / 2,
 
 is vectorized column-major (vec(A rho B) = (B^T kron A) vec(rho)) on a Fock
-space truncated at `cutoff` photons.  The steady state solves the bordered
-system {L v = 0, trace v = 1}, formed by replacing the row of the |0><0|
-component with the trace functional.  The bordered matrix is factorized by
-sparse LU with partial pivoting; the Liouvillian couples each Fock element
-to a handful of neighbors, so the factorization stays cheap at cutoffs
-where a dense solve would thrash memory.
+space truncated at `cutoff` photons.  Every term of the generator moves the
+vec index by a fixed offset on the (m, n) grid of rho, so the generator is
+assembled as a stencil: H's five bands and the jump ladders give value
+grids, which are interleaved straight into canonical CSC arrays.  Each
+value goes through the roundings, in the order, that the operator
+products (kron lifts of H and the jump operators, and their sums) apply,
+so the arrays are bitwise those of that build, and every solve below
+factorizes the same matrix in the same way.
+
+The steady state solves the bordered system {L v = 0, trace v = 1}, formed
+from the same CSC arrays by replacing the row of the |0><0| component with
+the trace functional.  The bordered matrix is factorized by sparse LU with
+partial pivoting; the Liouvillian couples each Fock element to at most ten
+neighbors, so the factorization stays cheap at cutoffs where a dense solve
+would thrash memory.
 
 Nothing in this module touches the closed-form machinery; that is the
 point.  Agreement between the two routes is the package's main evidence of
@@ -94,17 +103,60 @@ def fock_annihilation(cutoff: int) -> np.ndarray:
     return np.diag(np.sqrt(np.arange(1.0, cutoff + 1.0)), 1).astype(complex)
 
 
-def hamiltonian_fock(params: ModelParams, cutoff: int) -> np.ndarray:
-    """Dense Hamiltonian matrix in the truncated Fock basis."""
-    a = fock_annihilation(cutoff)
-    ad = a.conj().T
-    h = (
-        params.delta_c * (ad @ a)
-        + params.chi * (ad @ ad @ a @ a)
-        + 1j * params.omega * (ad - a)
-    )
+def _hamiltonian_bands(params: ModelParams, cutoff: int) -> np.ndarray:
+    """H's five diagonals: bands[k + 2, j] = H[j, j + k] for k in -2..2.
+
+    Entries whose column j + k falls outside 0..cutoff are padding.  Each
+    operator of
+
+        H = delta_c a^+ a + chi a^+ a^+ a a + i omega (a^+ - a)
+            + (lam a^+ a^+ + lam^* a a) / 2
+
+    is held as band arrays of the dense fock_annihilation products: a^+
+    conjugates a's entries, an entry of a product is its one nonzero term
+    (left to right, so a^+ a^+ a a is ((s_j s_(j-1)) s_(j-1)) s_j with
+    s_j = sqrt(j)) or +0.  The bands are then combined by the elementwise
+    operations, in the order, that the dense sum of those products carries
+    out, so every entry, signed zeros included, is the one that sum gives.
+    """
+    d = cutoff + 1
+    root = np.sqrt(np.arange(d + 2.0))
+    s, s_below = root[:d], np.concatenate(([0.0], root[: d - 1]))
+    a = np.zeros((5, d), dtype=complex)
+    a[3] = root[1 : d + 1]
+    ad = np.zeros((5, d), dtype=complex)
+    ad[1] = s
+    ad = ad.conj()
+    number = np.zeros((5, d), dtype=complex)
+    number[2] = s * s
+    kerr = np.zeros((5, d), dtype=complex)
+    kerr[2] = s * s_below * s_below * s
+    h = params.delta_c * number + params.chi * kerr + 1j * params.omega * (ad - a)
     if params.lambda_2ph != 0:
-        h = h + 0.5 * (params.lambda_2ph * (ad @ ad) + np.conj(params.lambda_2ph) * (a @ a))
+        pair_up = np.zeros((5, d), dtype=complex)
+        pair_up[0] = s * s_below
+        pair_down = np.zeros((5, d), dtype=complex)
+        pair_down[4] = root[1 : d + 1] * root[2 : d + 2]
+        h = h + 0.5 * (params.lambda_2ph * pair_up + np.conj(params.lambda_2ph) * pair_down)
+    return h
+
+
+def hamiltonian_fock(params: ModelParams, cutoff: int) -> np.ndarray:
+    """Dense Hamiltonian matrix in the truncated Fock basis.
+
+    Filled from _hamiltonian_bands, the five bands the Liouvillian is also
+    built from, with +0 off them.  Each entry is bitwise the one that the
+    dense products of fock_annihilation ladders, delta_c (a^+ a) + chi
+    (a^+ a^+ a a) + ..., give, but no d x d product is formed.
+    """
+    cutoff = _check_fock_size("cutoff", cutoff, 1)
+    d = cutoff + 1
+    bands = _hamiltonian_bands(params, cutoff)
+    h = np.zeros((d, d), dtype=complex)
+    rows = np.arange(d)
+    for k in range(-2, 3):
+        j = rows[max(0, -k) : d - max(0, k)]
+        h[j, j + k] = bands[k + 2, j]
     return h
 
 
@@ -112,29 +164,90 @@ def build_liouvillian(params: ModelParams, cutoff: int) -> Liouvillian:
     """Assemble the vectorized generator as a sparse matrix.
 
     Column-major stacking, so vec(rho)[m + n*(cutoff+1)] = rho[m, n] and
-    the |0><0| component sits at index 0.
+    the |0><0| component sits at index 0.  The generator is the operator
+    sum
+
+        -i (I kron H - H^T kron I)
+        + sum over (rate, c) of rate (conj(c) kron c - (I kron c^+c) / 2
+                                      - ((c^+c)^T kron I) / 2)
+
+    with c = a at rate gamma and c = a a at rate kappa (when kappa > 0),
+    assembled as a stencil: each term moves the vec index by a fixed
+    offset on the (m, n) grid.  The diagonal, the left and right action of
+    each band of H (m or n by +-1, +-2) and the gamma and kappa hops
+    (m+1, n+1), (m+2, n+2) give each column at most eleven entries in a
+    fixed row order, so their value grids are interleaved straight into
+    canonical CSC arrays, with no sort.
+
+    The arrays are bitwise those that sparse kron products and sums of
+    the operator sum give.  Every nonzero real or imaginary part goes
+    through the roundings, in the order, that those products and sums
+    apply to it; the rest of their arithmetic only flips signs or adds
+    zeros.  Every zero part is +0 there, since each entry passes through
+    the sum with the gamma dissipator, which adds +0 or a nonzero real
+    part with a +0 imaginary part.  Entries that are exactly zero are
+    dropped, as the sums drop them.
     """
     import scipy.sparse as sp
 
     cutoff = _check_fock_size("cutoff", cutoff, 1)
     d = cutoff + 1
-    a = sp.csc_matrix(fock_annihilation(cutoff))
-    h = sp.csc_matrix(hamiltonian_fock(params, cutoff))
-    eye = sp.identity(d, dtype=complex, format="csc")
+    n2 = d * d
+    h = _hamiltonian_bands(params, cutoff)
+    # I kron H puts -i H[m - k, m] at row (m - k, n) of column (m, n), and
+    # H^T kron I puts i H[n, n + k] at row (m, n + k)
+    left = -1j * h + 0.0
+    right = 1j * h + 0.0
 
-    lmat = -1j * (sp.kron(eye, h, format="csc") - sp.kron(h.T, eye, format="csc"))
-    jumps = [(params.gamma, a)]
+    # the diagonal, at [n, m]: H's real diagonal gives the imaginary part
+    # -(H[m, m] - H[n, n]) = H[n, n] - H[m, m], and each jump adds
+    # rate (-(c^+c)[m, m] / 2 - (c^+c)[n, n] / 2) to the real part
+    hd = h[2].real
+    diag = np.zeros((d, d), dtype=complex)
+    diag.imag = hd[:, None] - hd[None, :]
+    hops = {}
+    jumps = [(params.gamma, np.sqrt(np.arange(1.0, d)), 1)]
     if params.kappa > 0.0:
-        jumps.append((params.kappa, (a @ a).tocsc()))
-    for rate, c in jumps:
-        cd = c.conj().T.tocsc()
-        cdc = (cd @ c).tocsc()
-        lmat = lmat + rate * (
-            sp.kron(cd.T, c, format="csc")
-            - 0.5 * sp.kron(eye, cdc, format="csc")
-            - 0.5 * sp.kron(cdc.T, eye, format="csc")
-        )
-    return Liouvillian(matrix=lmat.tocsc(), cutoff=cutoff)
+        jumps.append((params.kappa, np.sqrt(np.arange(1.0, d - 1)) * np.sqrt(np.arange(2.0, d)), 2))
+    for rate, ladder, step in jumps:
+        # ladder[j] = c[j, j + step]
+        half = np.zeros(d)
+        half[step:] = 0.5 * (ladder * ladder)
+        diag.real += rate * (-half[None, :] - half[:, None])
+        hops[step] = rate * np.multiply.outer(ladder, ladder)
+
+    # (row offset, values, columns [n, m] that hold them), rising offset;
+    # a term whose values are all zero stores nothing
+    every, skip1, skip2 = slice(None), slice(1, None), slice(2, None)
+    terms = [
+        (-2 * d - 2, hops.get(2), (skip2, skip2)),
+        (-2 * d, right[0, 2:, None], (skip2, every)),
+        (-d - 1, hops[1], (skip1, skip1)),
+        (-d, right[1, 1:, None], (skip1, every)),
+        (-2, left[4, :-2], (every, skip2)),
+        (-1, left[3, :-1], (every, skip1)),
+        (0, diag, (every, every)),
+        (1, left[1, 1:], (every, slice(-1))),
+        (2, left[0, 2:], (every, slice(-2))),
+        (d, right[3, :-1, None], (slice(-1), every)),
+        (2 * d, right[4, :-2, None], (slice(-2), every)),
+    ]
+    terms = [t for t in terms if t[1] is not None and np.any(t[1])]
+    grids = np.zeros((len(terms), d, d), dtype=complex)
+    for grid, (_, values, columns) in zip(grids, terms):
+        grid[columns] = values
+    # every column gets one slot per term; slots off the grid hold zeros and
+    # are dropped with the exact zeros, their rows clipped into range first
+    data = np.ascontiguousarray(grids.reshape(len(terms), n2).T)
+    offsets = np.array([t[0] for t in terms], dtype=np.int32)
+    rows = np.add.outer(np.arange(n2, dtype=np.int32), offsets)
+    edge = 2 * d + 2
+    np.clip(rows[:edge], 0, n2 - 1, out=rows[:edge])
+    np.clip(rows[-edge:], 0, n2 - 1, out=rows[-edge:])
+    slots = np.arange(0, data.size + 1, len(terms), dtype=np.int32)
+    matrix = sp.csc_matrix((data.ravel(), rows.ravel(), slots), shape=(n2, n2))
+    matrix.eliminate_zeros()
+    return Liouvillian(matrix=matrix, cutoff=cutoff)
 
 
 def splu(matrix: sp.csc_matrix):
@@ -147,23 +260,44 @@ def splu(matrix: sp.csc_matrix):
     return factorize(matrix)
 
 
-def steady_state(liouvillian: Liouvillian) -> DensityMatrix:
-    """Solve the bordered system for the unique steady state.
+def _bordered_system(liouvillian: Liouvillian) -> sp.csc_matrix:
+    """L with the row of the |0><0| component replaced by the trace functional.
 
-    The row of the |0><0| component is replaced by the trace functional
-    and the right side is the unit vector selecting it, so the solution
-    is trace-normalized by construction.  The raw solution is hermitized
-    and validated before being returned.
+    Formed from the generator's CSC arrays: their row-0 entries are
+    dropped and the trace functional's ones put at row 0 of the columns
+    j (d + 1) of the |j><j|.  These are the arrays that stacking the trace
+    row on L's rows 1.. gives.
     """
     import scipy.sparse as sp
 
     d = liouvillian.cutoff + 1
     n2 = d * d
-    trace_row = sp.csr_matrix(
-        (np.ones(d), (np.zeros(d, dtype=int), np.arange(d) * (d + 1))), shape=(1, n2)
-    ).astype(complex)
-    lcsr = liouvillian.matrix.tocsr()
-    bordered = sp.vstack([trace_row, lcsr[1:, :]], format="csc")
+    lmat = liouvillian.matrix
+    # rows are sorted within each column, so a row-0 entry is a column's first
+    kept = lmat.indices != 0
+    before = np.zeros(kept.size + 1, dtype=np.int32)
+    np.cumsum(kept, out=before[1:])
+    before = before[lmat.indptr]
+    at = before[: n2 : d + 1]
+    traces_before = (np.arange(n2 + 1, dtype=np.int32) + d) // (d + 1)
+    return sp.csc_matrix(
+        (np.insert(lmat.data[kept], at, 1.0), np.insert(lmat.indices[kept], at, 0),
+         before + traces_before),
+        shape=(n2, n2),
+    )
+
+
+def steady_state(liouvillian: Liouvillian) -> DensityMatrix:
+    """Solve the bordered system for the unique steady state.
+
+    The row of the |0><0| component is replaced by the trace functional
+    (_bordered_system) and the right side is the unit vector selecting
+    it, so the solution is trace-normalized by construction.  The raw
+    solution is hermitized and validated before being returned.
+    """
+    d = liouvillian.cutoff + 1
+    n2 = d * d
+    bordered = _bordered_system(liouvillian)
 
     rhs = np.zeros(n2, dtype=complex)
     rhs[0] = 1.0

@@ -278,6 +278,41 @@ class TestDeterminism:
         _, parallel = run_to_file(tmp_path, args + ["--workers", "2"], "w2.csv")
         assert serial.read_bytes() == parallel.read_bytes()
 
+    def test_parser_built_once_keeps_every_output(self, tmp_path, capsys):
+        # one parser serves every main call in a process; after earlier
+        # commands and a usage error each call prints what a fresh parser's does
+        manifest = tmp_path / "cases.json"
+        manifest.write_text(json.dumps([
+            {"id": "weak", "params": {"delta_c": 5.0, "chi": -0.25, "gamma": 1.0,
+                                      "omega": 0.5}},
+        ]))
+        commands = [
+            ["validate", "--manifest", str(manifest)],
+            ["exact-sweep", "--omega-from", "0", "--omega-to", "1", "--omega-step", "zero"],
+            EXACT_ARGS,
+        ]
+
+        def run(argv):
+            try:
+                code = main(argv)
+            except SystemExit as exc:
+                code = exc.code
+            out = capsys.readouterr()
+            return code, out.out, out.err
+
+        cli._build_parser.cache_clear()
+        in_turn = [run(argv) for argv in commands]
+        assert cli._build_parser.cache_info().misses == 1
+        fresh = []
+        for argv in commands:
+            cli._build_parser.cache_clear()
+            fresh.append(run(argv))
+        assert in_turn == fresh
+        assert [code for code, _, _ in in_turn] == [0, 2, 0]
+        assert sum("error:" in line for line in in_turn[1][2].splitlines()) == 1
+        assert in_turn[1][1] == ""
+        assert in_turn[2][1] == (DATA_DIR / "golden_exact_sweep.csv").read_text()
+
     @pytest.mark.parametrize("omega_to,workers,cpus,want", [
         ("0.5", "100000", 4, [2]),
         ("8", "100000", 4, [4]),

@@ -5,7 +5,10 @@ every exact-solution claim leans on it: exact generator entries for the
 one-photon amplitude damping case, trace preservation of the
 superoperator, agreement between the vectorized action and a direct
 matrix-product evaluation, and the standard density-matrix invariants on
-every solved steady state.
+every solved steady state.  The stencil assembly of the generator, the
+band build of the Hamiltonian and the bordered system built from the CSC
+arrays are checked bit for bit against the operator-product
+transcriptions they replaced, kept here as references.
 """
 
 import math
@@ -47,6 +50,145 @@ oracle_params = st.builds(
     lambda_2ph=st.complex_numbers(max_magnitude=0.5, allow_nan=False, allow_infinity=False),
     kappa=st.floats(min_value=0.0, max_value=0.5),
 )
+
+
+def matmul_hamiltonian(params, cutoff):
+    """Reference for hamiltonian_fock: dense products of the ladders."""
+    a = fock_annihilation(cutoff)
+    ad = a.conj().T
+    h = (
+        params.delta_c * (ad @ a)
+        + params.chi * (ad @ ad @ a @ a)
+        + 1j * params.omega * (ad - a)
+    )
+    if params.lambda_2ph != 0:
+        h = h + 0.5 * (params.lambda_2ph * (ad @ ad) + np.conj(params.lambda_2ph) * (a @ a))
+    return h
+
+
+def kron_liouvillian(params, cutoff):
+    """Reference for build_liouvillian: sparse kron products and their sums."""
+    import scipy.sparse as sp
+
+    d = cutoff + 1
+    a = sp.csc_matrix(fock_annihilation(cutoff))
+    h = sp.csc_matrix(matmul_hamiltonian(params, cutoff))
+    eye = sp.identity(d, dtype=complex, format="csc")
+    lmat = -1j * (sp.kron(eye, h, format="csc") - sp.kron(h.T, eye, format="csc"))
+    jumps = [(params.gamma, a)]
+    if params.kappa > 0.0:
+        jumps.append((params.kappa, (a @ a).tocsc()))
+    for rate, c in jumps:
+        cd = c.conj().T.tocsc()
+        cdc = (cd @ c).tocsc()
+        lmat = lmat + rate * (
+            sp.kron(cd.T, c, format="csc")
+            - 0.5 * sp.kron(eye, cdc, format="csc")
+            - 0.5 * sp.kron(cdc.T, eye, format="csc")
+        )
+    return lmat.tocsc()
+
+
+def stacked_bordered(lmat, cutoff):
+    """Reference for the bordered system: the trace row stacked on L's rows 1.."""
+    import scipy.sparse as sp
+
+    d = cutoff + 1
+    n2 = d * d
+    trace_row = sp.csr_matrix(
+        (np.ones(d), (np.zeros(d, dtype=int), np.arange(d) * (d + 1))), shape=(1, n2)
+    ).astype(complex)
+    return sp.vstack([trace_row, lmat.tocsr()[1:, :]], format="csc")
+
+
+def same_bits(x, y):
+    x, y = np.asarray(x), np.asarray(y)
+    return x.dtype == y.dtype and x.shape == y.shape and x.tobytes() == y.tobytes()
+
+
+def assert_same_csc(got, want):
+    for field in ("data", "indices", "indptr"):
+        assert same_bits(getattr(got, field), getattr(want, field)), field
+
+
+def assert_assembly_matches_operator_products(params, cutoff):
+    assert same_bits(hamiltonian_fock(params, cutoff), matmul_hamiltonian(params, cutoff))
+    liouvillian = build_liouvillian(params, cutoff)
+    want = kron_liouvillian(params, cutoff)
+    assert_same_csc(liouvillian.matrix, want)
+    assert_same_csc(lindblad_oracle._bordered_system(liouvillian), stacked_bordered(want, cutoff))
+
+
+class TestStencilAssembly:
+    @given(p=oracle_params, cutoff=st.integers(min_value=1, max_value=16))
+    def test_matches_operator_products_bitwise(self, p, cutoff):
+        assert_assembly_matches_operator_products(p, cutoff)
+
+    @pytest.mark.parametrize("chi", [-0.25, 1.0, -1.0 / 3.0])
+    @pytest.mark.parametrize("levels", [1, 2, 7, 15])
+    def test_matches_where_hamiltonian_diagonal_cancels(self, chi, levels):
+        # delta = -chi (m + n - 1) makes H[m, m] = H[n, n] for every pair
+        # with m + n = levels, so I kron H - H^T kron I drops those entries
+        # (levels = 1 also zeroes H[0, 0] and H[1, 1])
+        base = ModelParams(delta_c=-chi * (levels - 1), chi=chi, omega=0.0, gamma=0.5)
+        variants = [
+            base,
+            base.replace(omega=1.25),
+            base.replace(omega=0.75, lambda_2ph=0.3 - 0.1j, kappa=0.2),
+            base.replace(lambda_2ph=-0.2j, kappa=0.0),
+        ]
+        for params in variants:
+            for cutoff in range(1, 17):
+                assert_assembly_matches_operator_products(params, cutoff)
+
+    @pytest.mark.parametrize("params", [
+        ModelParams(delta_c=-0.0, chi=-0.0, omega=0.0, gamma=1.0),
+        ModelParams(delta_c=-0.0, chi=0.5, omega=0.0, gamma=1.0, lambda_2ph=complex(-0.0, 0.2)),
+        ModelParams(delta_c=2.0, chi=-0.0, omega=0.0, gamma=1.0, lambda_2ph=complex(0.2, -0.0),
+                    kappa=-0.0),
+    ], ids=["all-signed-zeros", "negative-zero-pump", "negative-zero-loss"])
+    def test_matches_with_signed_zero_parameters(self, params):
+        for cutoff in (1, 2, 3, 6):
+            assert_assembly_matches_operator_products(params, cutoff)
+
+    def test_columns_hold_sorted_rows_without_zeros(self, twophoton_params):
+        matrix = build_liouvillian(twophoton_params, 12).matrix
+        assert matrix.has_canonical_format
+        assert np.all(matrix.data != 0)
+        assert matrix.indices.dtype == np.int32
+
+
+# the benchmark's validate families
+VALIDATE_FAMILIES = {
+    "bistable-w1.58": ModelParams(delta_c=5.0, chi=-0.25, omega=1.58, gamma=1.0),
+    "bistable-w4": ModelParams(delta_c=5.0, chi=-0.25, omega=4.0, gamma=1.0),
+    "bistable-w7.5": ModelParams(delta_c=5.0, chi=-0.25, omega=7.5, gamma=1.0),
+    "two-photon": ModelParams(delta_c=-1.0, chi=1.0, omega=0.1, gamma=0.1,
+                              lambda_2ph=0.2, kappa=0.1),
+    "chi0-pair-loss": ModelParams(delta_c=-1.0, chi=0.0, omega=0.1, gamma=0.1,
+                                  lambda_2ph=0.2, kappa=0.1),
+}
+
+
+@pytest.mark.parametrize("cutoff", [16, 32, 64])
+@pytest.mark.parametrize("family", sorted(VALIDATE_FAMILIES))
+def test_steady_state_matches_reference_solve_bitwise(family, cutoff):
+    # a solve of the reference bordered system in this process, not a
+    # golden file: the last digits depend on the BLAS thread count
+    from scipy.sparse.linalg import splu
+
+    params = VALIDATE_FAMILIES[family]
+    rho = steady_state(build_liouvillian(params, cutoff))
+
+    lmat = kron_liouvillian(params, cutoff)
+    d = cutoff + 1
+    rhs = np.zeros(d * d, dtype=complex)
+    rhs[0] = 1.0
+    solution = splu(stacked_bordered(lmat, cutoff)).solve(rhs)
+    raw = solution.reshape((d, d), order="F")
+    assert same_bits(rho.entries, 0.5 * (raw + raw.conj().T))
+    assert same_bits(rho.herm_defect, np.max(np.abs(raw - raw.conj().T)))
+    assert same_bits(rho.fixed_point_residual, np.max(np.abs(lmat @ solution)))
 
 
 def test_amplitude_damping_generator_is_exact():
