@@ -51,6 +51,10 @@ _MAX_TRUNCATION = 4096
 # operator order that the closed form does not; this rescaling removes it.
 _AMP_MOMENT_SCALE = 0.5
 
+# amplitude_moment's weights per (l, k), extended as longer sequences arrive
+_MOMENT_WEIGHTS: dict[tuple[int, int], np.ndarray] = {}
+_NO_WEIGHTS = np.zeros(0)
+
 
 @dataclass
 class SteadyWavefunction:
@@ -269,23 +273,52 @@ def wavefunction_linear(params: ModelParams, truncation: int | None = None) -> S
     return wf
 
 
+def _moment_weights(l: int, k: int, n: int) -> np.ndarray:
+    """The weights sqrt((m+l)! (m+k)!) / m! for m < n, each by math.lgamma and math.exp.
+
+    One table per (l, k) grows on demand and is shared by every caller;
+    an entry never changes once formed.
+    """
+    table = _MOMENT_WEIGHTS.get((l, k), _NO_WEIGHTS)
+    if len(table) < n:
+        more = [
+            math.exp(0.5 * (math.lgamma(m + l + 1) + math.lgamma(m + k + 1)) - math.lgamma(m + 1))
+            for m in range(len(table), n)
+        ]
+        table = _MOMENT_WEIGHTS[l, k] = np.concatenate((table, more))
+    return table[:n]
+
+
 def amplitude_moment(wavefunction: SteadyWavefunction, l: int, k: int) -> complex:
     """Normally ordered moment <a^dag^l a^k> from the amplitude sequence.
 
     The sum sqrt((m+l)! (m+k)!) / m! over conj(c_{m+l}) c_{m+k}
     overcounts each operator order by sqrt(2), hence the rescaling.
+
+    The terms are formed in one pass over the float64 real and imaginary
+    parts, by the operations of numpy's scalar complex product (which
+    multiplies by a real weight as by weight + 0j), and summed in order
+    from +0.0 with np.add.accumulate.  The weights come from a table
+    formed by math.lgamma and math.exp.  So the value, a Python complex,
+    has the bits of the term-by-term scalar loop on any CPU: numpy's
+    complex array product may fuse a multiply and an add, and
+    np.add.reduce sums pairwise.
     """
     l, k = _check_moment_orders(l, k)
     c = wavefunction.amplitudes
-    top = len(c) - 1 - max(l, k)
-    acc = complex(0.0)
-    for m in range(top + 1):
-        weight = math.exp(
-            0.5 * (math.lgamma(m + l + 1) + math.lgamma(m + k + 1))
-            - math.lgamma(m + 1)
-        )
-        acc += np.conj(c[m + l]) * c[m + k] * weight
-    return acc * _AMP_MOMENT_SCALE ** ((l + k) / 2.0)
+    n = max(len(c) - max(l, k), 0)
+    ar, ai = c.real[l:l + n], c.imag[l:l + n]
+    br, bi = c.real[k:k + n], c.imag[k:k + n]
+    weight = _moment_weights(l, k, n)
+    # conj(a) * b: ar br - (-ai) bi is ar br + ai bi bit for bit
+    re = ar * br + ai * bi
+    im = ar * bi - ai * br
+    terms = np.zeros(n + 1, dtype=complex)  # terms[0] = +0.0 starts the sum
+    terms.real[1:] = re * weight - im * 0.0
+    terms.imag[1:] = re * 0.0 + im * weight
+    acc = complex(np.add.accumulate(terms)[-1])
+    scale = _AMP_MOMENT_SCALE ** ((l + k) / 2.0)
+    return complex(acc.real * scale - acc.imag * 0.0, acc.real * 0.0 + acc.imag * scale)
 
 
 def _linear_moments(params: ModelParams, orders) -> list[CorrelationResult]:

@@ -15,12 +15,18 @@ argument 2 its terms cancel like 3^m, so it is summed in plain doubles
 through well-conditioned representations of the same polynomial, the
 connection formula to argument -1 (DLMF 15.8(ii)) and the Pfaff partner,
 choosing the one of least absolute term mass.  Its error is then about
-(m+1) 2^-52 times that mass.
+(m+1) 2^-52 times that mass.  The two-photon wavefunction needs every
+order of one (y, z); the private generator _gauss_sums walks them,
+carrying the prefactors and term parameters from one order to the next,
+so order m costs O(m) terms and no prefix is rebuilt.
+hyp2f1_terminating is that walk's single-order form, with the same bits.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
+from collections.abc import Iterator
 from dataclasses import dataclass
 
 from .errors import DenominatorPole, NonConvergence
@@ -184,21 +190,24 @@ def hyp0f2_ratio(
     return num / den
 
 
-def _connection_form(m: int, b: complex, zb: complex, ratio: complex) -> tuple[float, complex]:
+def _connection_form(
+    m: int, bj: list[complex], dk: list[complex], zb: complex, ratio: complex
+) -> tuple[float, complex]:
     """Mass and value of ratio * 2F1(-m, b; b - z - m + 1; -1).
 
-    zb is z - b and ratio is (zb)_m / (z)_m.  The lower parameter of
-    term j is formed as (1 - m + j) - zb, from the same zb as the
-    prefactor: b - z - m + 1 + j, formed from b, loses the digits of a
-    small b.  A form whose lower parameter comes within the pole guard
-    of zero is skipped: it gets infinite mass.
+    zb is z - b and ratio is (zb)_m / (z)_m; bj[j] is b + j and dk[k] is
+    (-k) - zb, the lower parameter of term j = m - 1 - k, formed from the
+    same zb as the prefactor: b - z - m + 1 + j, formed from b, loses the
+    digits of a small b.  A form whose lower parameter comes within the
+    pole guard of zero is skipped: it gets infinite mass.
     """
     if _near_pole(zb, -m):
         return math.inf, 0j
     term = total = 1.0 + 0j
     mass = 1.0
     for j in range(m):
-        term *= (m - j) * (b + j) / ((j + 1) * ((1 - m + j) - zb))
+        k = m - 1 - j
+        term *= (k + 1) * bj[j] / ((j + 1) * dk[k])
         total += term
         mass += abs(term)
     return mass * abs(ratio), ratio * total
@@ -253,7 +262,11 @@ def _least_mass(forms: list[tuple[float, complex]]) -> tuple[float, complex]:
 
     With nothing finite the mass is infinite and the value nan.
     """
-    best = min((mass for mass, _ in forms if mass < math.inf), default=math.inf)
+    # a plain loop: min() over a generator costs twice as much, at every order
+    best = math.inf
+    for mass, _ in forms:
+        if mass < best:
+            best = mass
     tied = [value for mass, value in forms if mass == best]
     if not tied:
         return math.inf, complex(math.nan, math.nan)
@@ -295,6 +308,11 @@ def hyp2f1_terminating(
     d = 2 asym.  At small d only the last form, of mass O(d), then meets
     the bound; at d = 0 odd orders are exactly zero, without a sum.
 
+    Time and memory are O(m): the prefactors and term parameters are
+    built in one pass to order m and the forms summed once, by the
+    per-order body of _gauss_sums, which returns bitwise this value at
+    every order of its walk.
+
     Raises
     ------
     InvalidParams
@@ -306,33 +324,61 @@ def hyp2f1_terminating(
         -m) or underflows below 1e-300.
     """
     m = _check_fock_size("hyp2f1_terminating order", m, 0)
+    return next(_gauss_sums(y, z, asym, first=m))
+
+
+def _gauss_sums(
+    y: complex, z: complex, asym: complex | None = None, first: int = 0
+) -> Iterator[complex]:
+    """Yield 2F1(-m, y; z; 2) for m = first, first + 1, ..., as hyp2f1_terminating.
+
+    One walk serves every order of one (y, z).  (z)_m, (y)_m / (z)_m and
+    (w)_m / (z)_m, and the lists b + j and (-k) - zb of both connection
+    forms, are carried from order m to m + 1 by the operations that
+    formed them afresh at each order, so every value has the bits of a
+    per-order sum.  Orders below first are stepped over without a sum.
+    A refusal is raised at the order that meets it and ends the walk.
+    The arguments are checked as hyp2f1_terminating checks them.
+    """
     y = _finite_complex("y", y)
     z = _finite_complex("z", z)
     w = z - y
     d = y - w if asym is None else 2.0 * _finite_complex("asym", asym)
     poch_z = ratio_y = ratio_w = 1.0 + 0j
-    for n in range(m):
-        zn = z + n
-        poch_z *= zn
+    # y + j, w + j, and (-k) - w, (-k) - y: the connection forms' parameters
+    y_j: list[complex] = []
+    w_j: list[complex] = []
+    k_w: list[complex] = []
+    k_y: list[complex] = []
+    for m in itertools.count():
+        if m < first:
+            pass  # only the prefactors and lists below are extended
+        elif m % 2 and d == 0:
+            # the Pfaff identity makes the value equal to minus itself
+            yield 0j
+        else:
+            sign = -1.0 if m % 2 else 1.0
+            forms = [_connection_form(m, y_j, k_w, w, ratio_w)]
+            mass, value = _connection_form(m, w_j, k_y, y, ratio_y)
+            forms.append((mass, sign * value))
+            mass, value = _least_mass(forms)
+            if not mass * (m + 1) * _EPS <= _FALLBACK_TOL * abs(value):
+                forms.append(_argument_two_form(m, y, z))
+                mass, value = _argument_two_form(m, w, z)
+                forms.append((mass, sign * value))
+                if m % 2:
+                    forms.append(_difference_form(m, y, w, z, d))
+                mass, value = _least_mass(forms)
+            yield value
+        zm = z + m
+        poch_z *= zm
         if abs(poch_z) < _UNDERFLOW_FLOOR:
             raise DenominatorPole(
-                f"hyp2f1_terminating: (z)_{n + 1} vanished or underflowed for z={z!r}"
+                f"hyp2f1_terminating: (z)_{m + 1} vanished or underflowed for z={z!r}"
             )
-        ratio_y *= (y + n) / zn
-        ratio_w *= (w + n) / zn
-    if m % 2 and d == 0:
-        # the Pfaff identity makes the value equal to minus itself
-        return 0j
-    sign = -1.0 if m % 2 else 1.0
-    forms = [_connection_form(m, y, w, ratio_w)]
-    mass, value = _connection_form(m, w, y, ratio_y)
-    forms.append((mass, sign * value))
-    mass, value = _least_mass(forms)
-    if not mass * (m + 1) * _EPS <= _FALLBACK_TOL * abs(value):
-        forms.append(_argument_two_form(m, y, z))
-        mass, value = _argument_two_form(m, w, z)
-        forms.append((mass, sign * value))
-        if m % 2:
-            forms.append(_difference_form(m, y, w, z, d))
-        mass, value = _least_mass(forms)
-    return value
+        y_j.append(y + m)
+        w_j.append(w + m)
+        ratio_y *= y_j[m] / zm
+        ratio_w *= w_j[m] / zm
+        k_w.append(-m - w)
+        k_y.append(-m - y)

@@ -14,7 +14,8 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from kerrsteady import cli
+import loop_references
+from kerrsteady import cli, exact_linear, exact_twophoton
 from kerrsteady.cli import main
 from kerrsteady.keldysh_ops import build_generalized_hamiltonian_clq, steady_residual
 from kerrsteady.exact_linear import amplitude_moment
@@ -40,6 +41,29 @@ RESIDUAL_ARGS = [
     "residual", "--delta-c", "5", "--chi", "-0.25", "--gamma", "1", "--omega", "4",
     "--cutoff-cl", "60", "--cutoff-q", "4", "--interior", "50",
 ]
+# Inputs past the double range, and where each command says it ran out.
+OVERFLOW_CASES = {
+    "exact-sweep-1e200": (
+        ["exact-sweep", "--delta-c", "5", "--chi", "-0.25", "--gamma", "1",
+         "--omega-from", "1e200", "--omega-to", "1e200", "--omega-step", "1"],
+        "the 0F2 argument 2|epsilon|^2 leaves the double range"),
+    "residual-1e200": (
+        ["residual", "--delta-c", "5", "--chi", "-0.25", "--gamma", "1", "--omega", "1e200"],
+        "amplitude weight leaves the double range at Fock index 1"),
+    "resonance-scan-lambda1e3": (
+        ["resonance-scan", "--chi", "1", "--gamma", "0.1", "--omega", "0.1",
+         "--lambda2", "1e3", "--kappa", "0.1",
+         "--delta-from", "0", "--delta-to", "0", "--delta-step", "1"],
+        "amplitude weight leaves the double range at Fock index 348"),
+    "meanfield-sweep-1e200": (
+        ["meanfield-sweep", "--delta-c", "5", "--chi", "-0.25", "--gamma", "1",
+         "--omega-from", "1e200", "--omega-to", "1e200", "--omega-step", "1"],
+        "the mean-field cubic leaves the double range"),
+    "meanfield-sweep-1e100": (
+        ["meanfield-sweep", "--delta-c", "5", "--chi", "-0.25", "--gamma", "1",
+         "--omega-from", "1e100", "--omega-to", "1e100", "--omega-step", "1"],
+        "the mean-field cubic leaves the double range"),
+}
 GOLDEN_RESIDUAL = json.loads((DATA_DIR / "golden_residual.json").read_text())["cases"]
 
 
@@ -566,29 +590,8 @@ class TestDomainErrors:
         assert rule in err
         assert "derive_" not in err
 
-    @pytest.mark.parametrize(
-        "args, where",
-        [
-            (["exact-sweep", "--delta-c", "5", "--chi", "-0.25", "--gamma", "1",
-              "--omega-from", "1e200", "--omega-to", "1e200", "--omega-step", "1"],
-             "the 0F2 argument 2|epsilon|^2 leaves the double range"),
-            (["residual", "--delta-c", "5", "--chi", "-0.25", "--gamma", "1",
-              "--omega", "1e200"],
-             "amplitude weight leaves the double range at Fock index 1"),
-            (["resonance-scan", "--chi", "1", "--gamma", "0.1", "--omega", "0.1",
-              "--lambda2", "1e3", "--kappa", "0.1",
-              "--delta-from", "0", "--delta-to", "0", "--delta-step", "1"],
-             "amplitude weight leaves the double range at Fock index 348"),
-            (["meanfield-sweep", "--delta-c", "5", "--chi", "-0.25", "--gamma", "1",
-              "--omega-from", "1e200", "--omega-to", "1e200", "--omega-step", "1"],
-             "the mean-field cubic leaves the double range"),
-            (["meanfield-sweep", "--delta-c", "5", "--chi", "-0.25", "--gamma", "1",
-              "--omega-from", "1e100", "--omega-to", "1e100", "--omega-step", "1"],
-             "the mean-field cubic leaves the double range"),
-        ],
-        ids=["exact-sweep-1e200", "residual-1e200", "resonance-scan-lambda1e3",
-             "meanfield-sweep-1e200", "meanfield-sweep-1e100"],
-    )
+    @pytest.mark.parametrize("args, where", list(OVERFLOW_CASES.values()),
+                             ids=list(OVERFLOW_CASES))
     def test_overflow_exits_one_with_one_error_line(self, capsys, args, where):
         # past the double range a command refuses; it never prints nan rows
         assert main(args) == 1
@@ -597,9 +600,77 @@ class TestDomainErrors:
         assert err.startswith("error: ") and err.count("\n") == 1
         assert where in err and "Traceback" not in err
 
+    def test_moment_refusal_prints_plain_complex(self, capsys):
+        # the amplitude route is a Python complex, so its repr is numpy-free
+        code = main(["exact-sweep", "--delta-c", "-5", "--chi", "0.25", "--gamma", "1",
+                     "--omega-from", "2", "--omega-to", "2", "--omega-step", "1",
+                     "--l", "16", "--k", "0"])
+        err = capsys.readouterr().err
+        assert code == 1
+        assert "amplitude route (-0.0039996404867204405-0.0030739175738022317j)" in err
+        assert "np.complex128" not in err
+
     def test_negative_rate_exits_one(self, capsys):
         code = main(["meanfield-sweep", "--delta-c", "5", "--chi", "-0.25",
                      "--gamma", "-1", "--omega-from", "0", "--omega-to", "1",
                      "--omega-step", "0.5"])
         assert code == 1
         capsys.readouterr()
+
+
+SCAN_GRID = ["resonance-scan", "--unit", "chi", "--chi", "1", "--gamma", "0.1",
+             "--lambda2", "0.2", "--kappa", "0.1",
+             "--delta-from", "-4.5", "--delta-to", "0.5", "--delta-step", "0.05"]
+DEEP_SWEEP = ["exact-sweep", "--delta-c", "5", "--chi", "-0.05", "--gamma", "1",
+              "--omega-step", "0.5"]
+
+
+@pytest.mark.bitwise
+class TestScalarLoopParity:
+    """The CLI prints the same bytes with the scalar-loop kernels patched in.
+
+    loop_references.py holds the per-order Gauss sum and the term-by-term
+    moment the package ran before its walk and array pass.
+    """
+
+    @staticmethod
+    def run_both(monkeypatch, capsys, args):
+        shipped = (main(args), *capsys.readouterr())
+        with monkeypatch.context() as patch:
+            patch.setattr(exact_twophoton, "_gauss_sums", loop_references.gauss_sums)
+            patch.setattr(exact_twophoton, "amplitude_moment", loop_references.amplitude_moment)
+            patch.setattr(exact_linear, "amplitude_moment", loop_references.amplitude_moment)
+            reference = (main(args), *capsys.readouterr())
+        return shipped, reference
+
+    @pytest.mark.parametrize(
+        "args",
+        [
+            SCAN_GRID + ["--omega", "0.1"],
+            SCAN_GRID + ["--omega", "0"],
+            ["resonance-scan", "--chi", "0.05", "--omega", "1",
+             "--gamma", "1", "--lambda2", "1", "--kappa", "0.02",
+             "--delta-from", "-2", "--delta-to", "-2", "--delta-step", "1"],
+            DEEP_SWEEP + ["--omega-from", "0", "--omega-to", "9"],
+            DEEP_SWEEP + ["--omega-from", "9.5", "--omega-to", "16"],
+            EXACT_ARGS + ["--l", "2", "--k", "2"],
+        ],
+        ids=["scan-omega0.1", "scan-omega0", "strong-pump", "deep-below", "deep-above",
+             "exact-l2k2"],
+    )
+    def test_output_bytes_match(self, monkeypatch, capsys, args):
+        shipped, reference = self.run_both(monkeypatch, capsys, args)
+        assert shipped[0] == 0
+        assert shipped == reference
+
+    @pytest.mark.parametrize(
+        "args",
+        [args for args, _ in OVERFLOW_CASES.values()]
+        + [["residual", "--delta-c", "5", "--chi", "-0.05", "--gamma", "1", "--omega", "16",
+            "--cutoff-cl", "120", "--cutoff-q", "4", "--interior", "110"]],
+        ids=list(OVERFLOW_CASES) + ["residual-cutoff-below-state"],
+    )
+    def test_refusals_match(self, monkeypatch, capsys, args):
+        shipped, reference = self.run_both(monkeypatch, capsys, args)
+        assert shipped[0] == 1
+        assert shipped == reference

@@ -130,13 +130,13 @@ class TestWavefunctionRoutes:
         # ones, off by 1e-6, must stop the release
         strong = ModelParams(delta_c=-2.0, chi=0.05, omega=1.0, gamma=1.0,
                              lambda_2ph=1.0, kappa=0.02)
-        exact = exact_twophoton.hyp2f1_terminating
+        exact = exact_twophoton._gauss_sums
 
-        def perturbed(m, y, z, asym=None):
-            value = exact(m, y, z, asym)
-            return value * (1.0 + 1e-6) if m == 40 else value
+        def perturbed(y, z, asym=None, first=0):
+            for m, value in enumerate(exact(y, z, asym, first), first):
+                yield value * (1.0 + 1e-6) if m == 40 else value
 
-        monkeypatch.setattr(exact_twophoton, "hyp2f1_terminating", perturbed)
+        monkeypatch.setattr(exact_twophoton, "_gauss_sums", perturbed)
         with pytest.raises(CrossCheckFailure, match="amplitude 40 "):
             wavefunction_twophoton(strong)
 
