@@ -83,13 +83,7 @@ from .model import (
     derive_twophoton,
     params_from_dict,
 )
-from .specfun import (
-    SeriesResult,
-    hyp0f2,
-    hyp0f2_ratio,
-    hyp2f1_terminating,
-    pochhammer,
-)
+from .specfun import hyp0f2_ratio, hyp2f1_terminating, pochhammer
 
 __version__ = "0.1.0"
 

@@ -37,7 +37,7 @@ from .errors import (
 )
 from .model import (ModelParams, _at_drive, _check_fock_size, _check_moment_orders,
                     _require_coherent_drive, derive_linear)
-from .specfun import _POLE_GUARD, hyp0f2, hyp0f2_ratio, pochhammer
+from .specfun import _POLE_GUARD, _conjugate_hyp0f2, hyp0f2_ratio, pochhammer
 
 _TAIL_RUN = 3
 # relative squared-amplitude level below which a run of levels counts as tail
@@ -255,10 +255,8 @@ def wavefunction_linear(params: ModelParams, truncation: int | None = None) -> S
     derived = derive_linear(params)
     wf = _package(*_recursion_amplitudes(params, _TAIL_TOL, _MAX_TRUNCATION, truncation))
     norm_series = wf.norm_constant
-    norm_hyper = hyp0f2(derived.x.conjugate(), derived.x, _drive_argument(derived.epsilon)).value
-    if abs(norm_hyper.imag) > _NORM_XCHECK_TOL * abs(norm_hyper) or not math.isclose(
-        norm_series, norm_hyper.real, rel_tol=_NORM_XCHECK_TOL
-    ):
+    norm_hyper = _conjugate_hyp0f2(derived.x, _drive_argument(derived.epsilon))
+    if not math.isclose(norm_series, norm_hyper, rel_tol=_NORM_XCHECK_TOL):
         if truncation is not None and not wf.converged:
             raise CutoffTooSmall(
                 f"truncation {truncation} is too small for this state: its "

@@ -59,10 +59,7 @@ _XCHECK_TOL = 1e-9
 
 
 def _closed_form_amplitudes(
-    params: ModelParams,
-    tail_tol: float,
-    max_truncation: int,
-    truncation: int | None,
+    params: ModelParams, truncation: int | None
 ) -> tuple[list[complex], bool]:
     """Unnormalized amplitudes from the polynomial closed form.
 
@@ -89,7 +86,7 @@ def _closed_form_amplitudes(
             )
         return value
 
-    return _ladder(step, tail_tol, max_truncation, truncation)
+    return _ladder(step, _TAIL_TOL, _MAX_TRUNCATION, truncation)
 
 
 def _spot_check_against_recursion(params: ModelParams, betas: list[complex]) -> None:
@@ -123,7 +120,7 @@ def wavefunction_twophoton(params: ModelParams, truncation: int | None = None) -
     """
     if not params.is_two_photon:
         return wavefunction_linear(params, truncation=truncation)
-    betas, converged = _closed_form_amplitudes(params, _TAIL_TOL, _MAX_TRUNCATION, truncation)
+    betas, converged = _closed_form_amplitudes(params, truncation)
     _spot_check_against_recursion(params, betas)
     return _package(betas, converged)
 

@@ -18,8 +18,9 @@ stable when both eigenvalues of the fluctuation Jacobian in (delta a, delta a*),
 
 have negative real part.  Its trace is -gamma and its determinant
 D^2 + gamma^2/4 - 4 chi^2 n^2, so they are -gamma/2 +- sqrt(4 chi^2 n^2 - D^2).
-Roots (Cardano's form with a Newton polish) and stability both come in
-closed form, so a companion matrix and an eigenvalue solver stay free as
+Roots (Cardano's form with a Newton polish, taken in u = 4 chi n where
+the cubic in n is too badly scaled for doubles) and stability both come
+in closed form, so a companion matrix and an eigenvalue solver stay free as
 the tests' independent routes.
 """
 
@@ -117,15 +118,18 @@ def _cardano_real_roots(a: float, b: float, c: float, d: float) -> list[float]:
     return [t - shift for t in roots]
 
 
-def _polish(n: float, a: float, b: float, c: float, d: float) -> float:
-    for _ in range(4):
+def _polish(
+    n: float, a: float, b: float, c: float, d: float, floor: float = 1.0, steps: int = 4
+) -> float:
+    """Newton steps on the cubic until one is below 1e-16 of max(|n|, floor)."""
+    for _ in range(steps):
         f = ((a * n + b) * n + c) * n + d
         fp = (3.0 * a * n + 2.0 * b) * n + c
         if fp == 0.0:
             break
         step = f / fp
         n -= step
-        if abs(step) <= 1e-16 * max(abs(n), 1.0):
+        if abs(step) <= 1e-16 * max(abs(n), floor):
             break
     return n
 
@@ -154,12 +158,34 @@ def photon_number_branches(params: ModelParams) -> list[MeanFieldBranch]:
         ) from None
 
 
-def _fixed_points(params: ModelParams) -> list[MeanFieldBranch]:
-    a, b, c, d = coeffs = _cubic_coeffs(params)
-    candidates = sorted(_polish(n, a, b, c, d) for n in _cardano_real_roots(a, b, c, d))
+def _polished_roots(
+    a: float, b: float, c: float, d: float, floor: float = 1.0, steps: int = 4
+) -> list[float]:
+    """Cardano's real roots of a x^3 + b x^2 + c x + d, each polished by _polish, sorted."""
+    roots = sorted(_polish(x, a, b, c, d, floor, steps) for x in _cardano_real_roots(a, b, c, d))
     # past the double range a power raises OverflowError, but * and / give inf or nan
-    if not all(map(math.isfinite, (*coeffs, *candidates))):
+    if not all(map(math.isfinite, (a, b, c, d, *roots))):
         raise OverflowError
+    return roots
+
+
+def _fixed_points(params: ModelParams) -> list[MeanFieldBranch]:
+    a, b, c, d = _cubic_coeffs(params)
+    try:
+        candidates = _polished_roots(a, b, c, d)
+    except OverflowError:
+        if params.chi == 0.0:
+            raise
+        # a badly scaled cubic: in u = 4 chi n it is monic, with the Kerr
+        # coefficient left only in the constant term.  Its roots can lie far
+        # below 1, where Cardano's are only absolutely accurate, so they are
+        # polished to a relative step.
+        delta, chi = params.delta_c, params.chi
+        monic = _polished_roots(1.0, 4.0 * delta, 4.0 * delta**2 + params.gamma**2,
+                                -16.0 * chi * params.omega**2, floor=0.0, steps=200)
+        candidates = sorted(u / (4.0 * chi) for u in monic)
+        if not all(map(math.isfinite, candidates)):
+            raise
 
     scale = max(abs(d), params.gamma**2, 1.0)
     branches = []
@@ -170,7 +196,9 @@ def _fixed_points(params: ModelParams) -> list[MeanFieldBranch]:
             else:
                 continue
         resid = abs(((a * n + b) * n + c) * n + d)
-        local = max(abs(a) * n**3, abs(b) * n**2, abs(c) * n, abs(d), 1e-300)
+        # each term from its coefficient out: a power of a root past the cube
+        # root of the double range overflows even where the term does not
+        local = max(abs(a * n) * n * n, abs(b * n) * n, abs(c) * n, abs(d), 1e-300)
         # term-magnitude scale for large roots, absolute anchor for roots
         # driven into the subnormal range by omega ~ 0; a nan fails
         if not resid <= max(1e-6 * local, 1e-9 * max(1.0, abs(d))):

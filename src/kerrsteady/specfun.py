@@ -4,22 +4,24 @@ Everything here works on plain Python complex numbers.  The three public
 entry points are
 
 * :func:`pochhammer`, rising factorials evaluated by direct product,
-* :func:`hyp0f2`, the generalized hypergeometric series 0F2(; b1, b2; z),
+* :func:`hyp0f2_ratio`, a ratio of two 0F2(; b1, b2; z) series summed in lockstep,
 * :func:`hyp2f1_terminating`, the terminating Gauss sum 2F1(-m, y; z; 2).
 
-The 0F2 series appears in normalization constants and correlation functions
-of the coherently driven model; the terminating 2F1 at argument 2 builds the
-displaced-frame wavefunction of the two-photon model.  The 0F2 series is
-summed directly with Kahan compensation.  The Gauss sum is not: at
-argument 2 its terms cancel like 3^m, so it is summed in plain doubles
-through well-conditioned representations of the same polynomial, the
-connection formula to argument -1 (DLMF 15.8(ii)) and the Pfaff partner,
-choosing the one of least absolute term mass.  Its error is then about
-(m+1) 2^-52 times that mass.  The two-photon wavefunction needs every
-order of one (y, z); the private generator _gauss_sums walks them,
-carrying the prefactors and term parameters from one order to the next,
-so order m costs O(m) terms and no prefix is rebuilt.
-hyp2f1_terminating is that walk's single-order form, with the same bits.
+0F2 ratios form the correlation functions of the coherently driven
+model, and the private _conjugate_hyp0f2 sums its normalization, a
+series of real positive terms, to cross-check the amplitude sum; the
+terminating 2F1 at argument 2 builds the displaced-frame wavefunction
+of the two-photon model.  The 0F2 series are summed directly.  The
+Gauss sum is not: at argument 2 its terms cancel like 3^m, so it is
+summed in plain doubles through well-conditioned representations of
+the same polynomial, the connection formula to argument -1 (DLMF
+15.8(ii)) and the Pfaff partner, choosing the one of least absolute
+term mass.  Its error is then about (m+1) 2^-52 times that mass.  The
+two-photon wavefunction needs every order of one (y, z); the private
+generator _gauss_sums walks them, carrying the prefactors and term
+parameters from one order to the next, so order m costs O(m) terms and
+no prefix is rebuilt.  hyp2f1_terminating is that walk's single-order
+form, with the same bits.
 """
 
 from __future__ import annotations
@@ -27,7 +29,6 @@ from __future__ import annotations
 import itertools
 import math
 from collections.abc import Iterator
-from dataclasses import dataclass
 
 from .errors import DenominatorPole, NonConvergence
 from .model import _check_fock_size, _finite_complex
@@ -37,29 +38,8 @@ _SERIES_TOL = 1e-16
 _SERIES_CAP = 100_000
 _CONSECUTIVE_SMALL = 5
 _UNDERFLOW_FLOOR = 1e-300
-_OVERFLOW_CEIL = 1e300
 _EPS = 2.0**-52
 _FALLBACK_TOL = 1e-13
-
-
-@dataclass
-class SeriesResult:
-    """Value of a truncated series together with convergence evidence.
-
-    Attributes
-    ----------
-    value : complex
-        Partial sum at termination.
-    terms_used : int
-        Number of terms accumulated.
-    tail_estimate : float
-        Largest relative magnitude |term| / |partial sum| among the final
-        run of small terms; an upper-bound proxy for the discarded tail.
-    """
-
-    value: complex
-    terms_used: int
-    tail_estimate: float
 
 
 def _near_pole(b: complex, lowest: float = -math.inf) -> bool:
@@ -92,55 +72,39 @@ def pochhammer(x: complex, m: int) -> complex:
     return acc
 
 
-def hyp0f2(b1: complex, b2: complex, z: complex) -> SeriesResult:
-    """Generalized hypergeometric series 0F2(; b1, b2; z).
+def _conjugate_hyp0f2(x: complex, w: float) -> float:
+    """0F2(; conj(x), x; w) for real w >= 0, the coherent-drive norm.
 
-    Terms are accumulated until the last five each satisfy
-    |term| / |partial sum| < 1e-16, with a hard cap of 1e5 terms.  The
-    series converges for every finite z (factorial-cubed denominators),
-    so the cap only fires for astronomically large |z|.
+    Its terms w^m / (m! |(x)_m|^2) are real and positive, with ratio
+    w / (m |x + m - 1|^2), so the sum runs in plain floats.  It stops by
+    hyp0f2_ratio's rule: five terms in a row below 1e-16 of the partial
+    sum, with a hard cap of 1e5 terms.
 
     Raises
     ------
     DenominatorPole
-        If b1 or b2 sits within 1e-12 of a nonpositive integer, or a
-        running Pochhammer factor underflows below 1e-300.
+        If x sits within 1e-12 of a nonpositive integer.  That guard
+        keeps every |x + m - 1|^2 above 1e-24, so no denominator underflows.
     NonConvergence
-        If the term cap fires first or the partial sum leaves the double
-        range.
+        If the partial sum leaves the double range or the cap fires first.
     """
-    b1 = _lower_parameter("hyp0f2", "b1", b1)
-    b2 = _lower_parameter("hyp0f2", "b2", b2)
-    z = _finite_complex("z", z)
-    if z == 0:
-        return SeriesResult(1.0 + 0j, 1, 0.0)
-
-    total = term = 1.0 + 0j
-    comp = 0.0 + 0j
+    x = _lower_parameter("0F2 norm", "x", x)
+    total = term = 1.0
     small_run = 0
-    tail = 1.0
-    for m in range(_SERIES_CAP):
-        denom = (b1 + m) * (b2 + m) * (m + 1)
-        if abs(denom) < _UNDERFLOW_FLOOR:
-            raise DenominatorPole(f"hyp0f2 denominator underflow at term {m + 1}")
-        term = term * z / denom
-        # Kahan step
-        yv = term - comp
-        tv = total + yv
-        comp = (tv - total) - yv
-        total = tv
-        if abs(total) > _OVERFLOW_CEIL:
-            raise NonConvergence("hyp0f2 partial sum exceeds double range")
-        rel = abs(term) / max(abs(total), _UNDERFLOW_FLOOR)
-        if rel < _SERIES_TOL:
+    for m in range(1, _SERIES_CAP + 1):
+        # products, not powers: a float power past the double range raises
+        re = x.real + m - 1
+        term = term * w / (m * (re * re + x.imag * x.imag))
+        total += term
+        if not total < math.inf:  # nan too
+            raise NonConvergence("0F2 norm partial sum leaves the double range")
+        if term / total < _SERIES_TOL:
             small_run += 1
-            tail = max(tail if small_run > 1 else 0.0, rel)
             if small_run >= _CONSECUTIVE_SMALL:
-                return SeriesResult(total, m + 2, tail)
+                return total
         else:
             small_run = 0
-            tail = rel
-    raise NonConvergence(f"hyp0f2 did not converge within {_SERIES_CAP} terms")
+    raise NonConvergence(f"0F2 norm did not converge within {_SERIES_CAP} terms")
 
 
 def hyp0f2_ratio(

@@ -15,7 +15,14 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from kerrsteady import exact_linear
-from kerrsteady.errors import CutoffTooSmall, InvalidParams, NonConvergence, UnsupportedModel
+from kerrsteady.errors import (
+    CrossCheckFailure,
+    CutoffTooSmall,
+    DenominatorPole,
+    InvalidParams,
+    NonConvergence,
+    UnsupportedModel,
+)
 from kerrsteady.exact_linear import (
     amplitude_moment,
     correlation_linear,
@@ -130,6 +137,39 @@ class TestWavefunction:
         total = sum(abs(a) ** 2 for a in wf.amplitudes)
         assert total == pytest.approx(1.0, abs=1e-12)
         assert wf.amplitudes[0] != 0j
+
+
+class TestNormCheckRefusals:
+    """Each way the amplitude sum and the 0F2 norm can fail to agree, refused by class."""
+
+    @pytest.mark.parametrize("omega", [0.0, 0.1])
+    def test_pole_parameter(self, omega):
+        # x = -10 - 1e-13 i: the ladder stops before its pole at index 11, so the norm refuses
+        p = ModelParams(delta_c=-5.0, chi=0.5, omega=omega, gamma=1e-13)
+        with pytest.raises(DenominatorPole, match="0F2 norm parameter"):
+            wavefunction_linear(p)
+
+    def test_overflowing_drive(self):
+        deep = ModelParams(delta_c=5.0, chi=-0.05, omega=1e4, gamma=1.0)
+        with pytest.raises(NonConvergence, match="double range"):
+            wavefunction_linear(deep)
+
+    def test_truncation_far_below_support(self):
+        deep = ModelParams(delta_c=5.0, chi=-0.05, omega=16.0, gamma=1.0)
+        with pytest.raises(CutoffTooSmall, match="truncation 60"):
+            wavefunction_linear(deep, truncation=60)
+
+    def test_perturbed_ladder(self, bistable_params, monkeypatch):
+        recursion = exact_linear._recursion_amplitudes
+
+        def perturbed(*args):
+            betas, converged = recursion(*args)
+            betas[1] *= 1.01
+            return betas, converged
+
+        monkeypatch.setattr(exact_linear, "_recursion_amplitudes", perturbed)
+        with pytest.raises(CrossCheckFailure, match="normalization mismatch"):
+            wavefunction_linear(bistable_params)
 
 
 class TestCorrelation:

@@ -19,7 +19,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from kerrsteady import lindblad_oracle
-from kerrsteady.errors import CutoffTooSmall, InvalidParams, NonConvergence
+from kerrsteady.errors import CutoffTooSmall, InvalidParams, InvariantViolation, NonConvergence
 from kerrsteady.lindblad_oracle import (
     DensityMatrix,
     adaptive_cutoff,
@@ -288,6 +288,22 @@ class TestSteadyState:
         rho = steady_state_at(twophoton_params, cutoff=24)
         assert np.trace(rho.entries).real == pytest.approx(1.0, abs=1e-10)
         assert np.linalg.eigvalsh(rho.entries).min() >= -1e-8
+
+
+@pytest.mark.parametrize(
+    "entries, message",
+    [
+        ([[0.7, 1e-9], [0.0, 0.3]], "not hermitian"),
+        ([[0.7, 0.0], [0.0, 0.2]], "trace"),
+        ([[1.5, 0.0], [0.0, -0.5]], "eigenvalue"),
+    ],
+    ids=["hermiticity", "trace", "positivity"],
+)
+def test_validate_refuses_each_broken_invariant(entries, message):
+    DensityMatrix(np.diag([0.7, 0.3]).astype(complex), cutoff=1).validate()
+    rho = DensityMatrix(np.array(entries, dtype=complex), cutoff=1)
+    with pytest.raises(InvariantViolation, match=message):
+        rho.validate()
 
 
 class TestCorrelations:

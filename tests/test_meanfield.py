@@ -7,6 +7,8 @@ printed Jacobian and by integrating the classical equation of motion
 with a throwaway RK4 stepper.
 """
 
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given
@@ -14,6 +16,7 @@ from hypothesis import strategies as st
 
 from kerrsteady.errors import InvalidParams, UnsupportedModel
 from kerrsteady.meanfield import (
+    _cardano_real_roots,
     bistable_window,
     drive_point_branches,
     photon_number_branches,
@@ -113,15 +116,69 @@ def jacobian_eigvals(branch, p):
     "p",
     [
         drive_family(1e200),  # the cubic's constant term overflows
-        drive_family(1e100),  # Cardano's intermediates overflow
-        # a representable root n = 4e200 whose residual terms n^3 overflow
-        ModelParams(delta_c=0.0, chi=0.0, omega=1.0, gamma=1e-100),
+        drive_family(1e100),  # Cardano's intermediates overflow, in n and in u = 4 chi n
+        # roots u of order 1 divided by 4 chi, chi subnormal
+        ModelParams(delta_c=-1.0, chi=1e-309, omega=1e154, gamma=0.1),
     ],
-    ids=["omega-1e200", "omega-1e100", "cubed-root"],
+    ids=["omega-1e200", "omega-1e100", "subnormal-chi"],
 )
 def test_double_range_overflow_refused(p):
     with pytest.raises(InvalidParams, match="^the mean-field cubic leaves the double range"):
         photon_number_branches(p)
+
+
+@pytest.mark.parametrize(
+    "p",
+    [
+        # Cardano divides by the leading coefficient 16 chi^2 = 1.6e-219
+        ModelParams(delta_c=1.0, chi=1e-110, omega=1.0, gamma=1.0),
+        ModelParams(delta_c=1.0, chi=-1e-110, omega=1.0, gamma=1.0),
+        # in u = 4 chi n, Cardano's root is off by about 1e-16 absolute,
+        # which Newton steps must remove down to u ~ 1e-111
+        ModelParams(delta_c=-2.0, chi=1e-110, omega=1.0, gamma=0.25),
+        ModelParams(delta_c=-2.0, chi=-1e-110, omega=1.0, gamma=0.25),
+        # a representable root n = 4e200 whose square and cube are not
+        ModelParams(delta_c=0.0, chi=0.0, omega=1.0, gamma=1e-100),
+    ],
+    ids=["tiny-chi", "tiny-negative-chi", "tiny-chi-far-detuned", "tiny-negative-chi-far-detuned",
+         "huge-root"],
+)
+def test_badly_scaled_cubic_keeps_its_root(p):
+    (branch,) = photon_number_branches(p)
+    # chi n is negligible against delta_c: the Lorentzian of the linear cavity
+    lorentzian = 4.0 * p.omega**2 / (4.0 * p.delta_c**2 + p.gamma**2)
+    assert branch.n == pytest.approx(lorentzian, rel=1e-12)
+    assert branch.stable and not branch.degenerate
+
+
+def upper_fold(p):
+    """The drive at which p's lower and middle branches merge, and their n there.
+
+    Divided by 16 chi^2 and shifted by t = n + b1/3, b1 = delta_c / chi, the
+    cubic is t^3 + P t + Q with Q = Q0 - omega^2 / (4 chi^2).  At Q = -2 s^3,
+    s = sqrt(-P/3), its discriminant -4 P^3 - 27 Q^2 vanishes and it
+    factors as (t + s)^2 (t - 2 s).
+    """
+    b1 = p.delta_c / p.chi
+    c1 = (4.0 * p.delta_c**2 + p.gamma**2) / (16.0 * p.chi**2)
+    s = math.sqrt(b1 * b1 / 9.0 - c1 / 3.0)
+    q0 = 2.0 * b1**3 / 27.0 - b1 * c1 / 3.0
+    return math.sqrt((q0 + 2.0 * s**3) * 4.0 * p.chi**2), -b1 / 3.0 - s
+
+
+def test_cardano_double_root():
+    # (n - 2)^2 (n + 1): the depressed form has P = -3, Q = 2, a discriminant of exactly 0
+    assert _cardano_real_roots(1.0, -3.0, 0.0, 4.0) == [-1.0, 2.0]
+
+
+def test_branches_at_a_fold_are_degenerate():
+    omega, n_fold = upper_fold(drive_family(0.0))
+    # a few ulps inside the window: the lower and middle branches 1e-8 apart
+    inside = omega * (1.0 - 4e-16)
+    lower, middle, upper = photon_number_branches(drive_family(inside))
+    assert lower.degenerate and middle.degenerate and not upper.degenerate
+    assert lower.n == pytest.approx(n_fold, rel=1e-7)
+    assert middle.n == pytest.approx(n_fold, rel=1e-7)
 
 
 sampled_params = st.builds(
