@@ -27,7 +27,6 @@ from .exact_linear import (
     amplitude_moment,
     correlation_linear,
     exact_drive_point,
-    photon_number_linear,
     wavefunction_linear,
 )
 from .exact_twophoton import (
@@ -51,10 +50,8 @@ from .keldysh_ops import (
     build_generalized_hamiltonian_pm,
     convert_basis,
     embed_wavefunction,
-    hamiltonian_parts_clq,
     interior_projector,
     mixing_unitary,
-    q_grade_blocks,
     steady_residual,
 )
 from .lindblad_oracle import (
@@ -66,7 +63,6 @@ from .lindblad_oracle import (
     fock_annihilation,
     hamiltonian_fock,
     steady_state,
-    steady_state_at,
 )
 from .meanfield import (
     MeanFieldBranch,
@@ -83,7 +79,7 @@ from .model import (
     derive_twophoton,
     params_from_dict,
 )
-from .specfun import hyp0f2_ratio, hyp2f1_terminating, pochhammer
+from .specfun import hyp0f2_ratio, pochhammer
 
 __version__ = "0.1.0"
 

@@ -349,11 +349,6 @@ def correlation_linear(params: ModelParams, l: int, k: int) -> CorrelationResult
     return _linear_moments(params, [(l, k)])[0]
 
 
-def photon_number_linear(params: ModelParams) -> float:
-    """Steady-state photon number <a^dag a> for the linearly driven model."""
-    return _real_photon_number(correlation_linear(params, 1, 1))
-
-
 def _g2(pair: float, n: float) -> float:
     """g2 = <a^dag^2 a^2> / n**2; nan where n <= 0 or n**2 underflows to zero."""
     return pair / n**2 if n > 0.0 and n**2 > 0.0 else float("nan")

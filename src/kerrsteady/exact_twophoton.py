@@ -27,6 +27,7 @@ two results must agree before a value is released.
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 
@@ -71,8 +72,9 @@ def _closed_form_amplitudes(
     """
     derived = derive_twophoton(params)
     lam = derived.lambda_disp
-    # the ladder asks for orders 1, 2, ... in turn: one walk serves them all
-    sums = _gauss_sums(derived.y, derived.z, derived.asym, first=1)
+    # the ladder asks for orders 1, 2, ... in turn: one walk serves them all,
+    # past order 0 (beta_0 = 1), which the ladder holds already
+    sums = itertools.islice(_gauss_sums(derived.y, derived.z, derived.asym), 1, None)
     scale = complex(1.0)
 
     def step(m: int, betas: list[complex]) -> complex:

@@ -182,23 +182,6 @@ def _assemble(cutoffs: tuple[int, int], *parts: list) -> np.ndarray:
     return out
 
 
-def hamiltonian_parts_clq(
-    params: ModelParams, cutoffs: tuple[int, int]
-) -> tuple[OperatorMatrix, OperatorMatrix]:
-    """Quantum-mode raising and non-raising parts of the generator.
-
-    The first part moves every excitation up exactly one quantum-mode
-    level; the second never raises that level and kills any state in the
-    quantum-mode vacuum.  Their sum is the full generator.
-    """
-    cutoffs = _check_cutoffs(cutoffs)
-    up, down = _clq_parts(params, cutoffs)
-    return (
-        OperatorMatrix(_assemble(cutoffs, up), CL_Q, cutoffs),
-        OperatorMatrix(_assemble(cutoffs, down), CL_Q, cutoffs),
-    )
-
-
 def _pm_matrix(params: ModelParams, cutoffs: tuple[int, int]) -> np.ndarray:
     import scipy.sparse as sp
 
@@ -294,26 +277,6 @@ def convert_basis(op: OperatorMatrix, target: str) -> OperatorMatrix:
     else:
         entries = w.conj().T @ op.entries @ w
     return OperatorMatrix(entries, target, op.cutoffs)
-
-
-def q_grade_blocks(op: OperatorMatrix) -> dict[int, float]:
-    """Largest matrix element per quantum-mode grade shift.
-
-    Key d collects entries connecting quantum-mode level j to level
-    j + d.  A purely raising operator puts all its weight at d = +1.
-    This is the check that the raising part of the cl_q generator moves
-    the quantum level by exactly +1 and the other part never raises it,
-    the split the steady-state certificate rests on.
-    """
-    m1, m2 = op.cutoffs
-    q_index = np.tile(np.arange(m2 + 1), m1 + 1)
-    # hypot, not np.abs: np.abs over an array can round the last bit
-    # differently from abs() of a single entry.
-    mags = np.hypot(op.entries.real, op.entries.imag)
-    rows, cols = np.nonzero(mags > 0.0)
-    shifts = q_index[rows] - q_index[cols]
-    peaks = mags[rows, cols]
-    return {int(d): peaks[shifts == d].max() for d in np.unique(shifts)}
 
 
 def embed_wavefunction(wavefunction: SteadyWavefunction, cutoffs: tuple[int, int]) -> np.ndarray:

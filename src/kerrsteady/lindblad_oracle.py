@@ -322,11 +322,6 @@ def steady_state(liouvillian: Liouvillian) -> DensityMatrix:
     return rho
 
 
-def steady_state_at(params: ModelParams, cutoff: int) -> DensityMatrix:
-    """Convenience wrapper: build the generator and solve in one call."""
-    return steady_state(build_liouvillian(params, cutoff))
-
-
 def correlation_from_rho(rho: DensityMatrix, l: int, k: int) -> complex:
     """Normally ordered moment <a^dag^l a^k> = Tr(rho a^dag^l a^k).
 
@@ -361,9 +356,9 @@ def adaptive_cutoff(
     if not 0.0 < tol < math.inf:
         raise InvalidParams(f"tol must be positive and finite, got {tol}")
     m = max(_ADAPTIVE_START, 2 * (l + k))
-    prev = correlation_from_rho(steady_state_at(params, m), l, k)
+    prev = correlation_from_rho(steady_state(build_liouvillian(params, m)), l, k)
     while 2 * m <= _ADAPTIVE_CAP:
-        cur = correlation_from_rho(steady_state_at(params, 2 * m), l, k)
+        cur = correlation_from_rho(steady_state(build_liouvillian(params, 2 * m)), l, k)
         if abs(cur - prev) <= tol * max(abs(cur), 1e-12):
             return m, prev
         prev = cur

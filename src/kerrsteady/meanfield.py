@@ -145,8 +145,8 @@ def photon_number_branches(params: ModelParams) -> list[MeanFieldBranch]:
     InvalidParams
         If the cubic, its roots or their checks leave the double range.
     InvariantViolation
-        If a polished root fails the cubic residual check or |a0|^2
-        drifts from n beyond tolerance.
+        If a polished root and Cardano's root it came from both fail the
+        cubic residual check, or |a0|^2 drifts from n beyond tolerance.
     """
     _require_coherent_drive(params)
     try:
@@ -160,13 +160,25 @@ def photon_number_branches(params: ModelParams) -> list[MeanFieldBranch]:
 
 def _polished_roots(
     a: float, b: float, c: float, d: float, floor: float = 1.0, steps: int = 4
-) -> list[float]:
-    """Cardano's real roots of a x^3 + b x^2 + c x + d, each polished by _polish, sorted."""
-    roots = sorted(_polish(x, a, b, c, d, floor, steps) for x in _cardano_real_roots(a, b, c, d))
+) -> list[tuple[float, float]]:
+    """Cardano's real roots of a x^3 + b x^2 + c x + d as sorted (polished, unpolished) pairs."""
+    roots = sorted((_polish(x, a, b, c, d, floor, steps), x)
+                   for x in _cardano_real_roots(a, b, c, d))
     # past the double range a power raises OverflowError, but * and / give inf or nan
-    if not all(map(math.isfinite, (a, b, c, d, *roots))):
+    if not all(map(math.isfinite, (a, b, c, d, *(n for n, _ in roots)))):
         raise OverflowError
     return roots
+
+
+def _cubic_residual(n: float, a: float, b: float, c: float, d: float) -> tuple[float, bool]:
+    """|a n^3 + b n^2 + c n + d| and whether it is within the root tolerance."""
+    resid = abs(((a * n + b) * n + c) * n + d)
+    # each term from its coefficient out: a power of a root past the cube
+    # root of the double range overflows even where the term does not
+    local = max(abs(a * n) * n * n, abs(b * n) * n, abs(c) * n, abs(d), 1e-300)
+    # term-magnitude scale for large roots, absolute anchor for roots
+    # driven into the subnormal range by omega ~ 0; a nan fails
+    return resid, resid <= max(1e-6 * local, 1e-9 * max(1.0, abs(d)))
 
 
 def _fixed_points(params: ModelParams) -> list[MeanFieldBranch]:
@@ -183,33 +195,37 @@ def _fixed_points(params: ModelParams) -> list[MeanFieldBranch]:
         delta, chi = params.delta_c, params.chi
         monic = _polished_roots(1.0, 4.0 * delta, 4.0 * delta**2 + params.gamma**2,
                                 -16.0 * chi * params.omega**2, floor=0.0, steps=200)
-        candidates = sorted(u / (4.0 * chi) for u in monic)
-        if not all(map(math.isfinite, candidates)):
+        candidates = sorted((u / (4.0 * chi), x / (4.0 * chi)) for u, x in monic)
+        if not all(math.isfinite(n) for n, _ in candidates):
             raise
 
     scale = max(abs(d), params.gamma**2, 1.0)
-    branches = []
-    for n in candidates:
+    roots = []
+    for n, cardano in candidates:
         if n < 0.0:
             if n > -1e-12 * scale:
                 n = 0.0
             else:
                 continue
-        resid = abs(((a * n + b) * n + c) * n + d)
-        # each term from its coefficient out: a power of a root past the cube
-        # root of the double range overflows even where the term does not
-        local = max(abs(a * n) * n * n, abs(b * n) * n, abs(c) * n, abs(d), 1e-300)
-        # term-magnitude scale for large roots, absolute anchor for roots
-        # driven into the subnormal range by omega ~ 0; a nan fails
-        if not resid <= max(1e-6 * local, 1e-9 * max(1.0, abs(d))):
-            raise InvariantViolation(
-                f"cubic residual {resid:.3e} exceeds tolerance at n={n!r}"
-            )
+        resid, on_cubic = _cubic_residual(n, a, b, c, d)
+        if not on_cubic:
+            # at a fold f' ~ 0, and Newton can step off Cardano's double root
+            if not (cardano >= 0.0 and _cubic_residual(cardano, a, b, c, d)[1]):
+                raise InvariantViolation(
+                    f"cubic residual {resid:.3e} exceeds tolerance at n={n!r}"
+                )
+            n = cardano
         a0 = -2j * params.omega / (2.0 * params.delta_c - 1j * params.gamma + 4.0 * params.chi * n)
         if not abs(abs(a0) ** 2 - n) <= 1e-6 * max(n, 1e-12):
             raise InvariantViolation(
                 f"|a0|^2 = {abs(a0)**2!r} inconsistent with root n = {n!r}"
             )
+        roots.append((n, a0))
+
+    # a kept Cardano root can break the polished roots' order
+    roots.sort(key=lambda root: root[0])
+    branches = []
+    for n, a0 in roots:
         # a polished copy of the root just kept is dropped
         if not branches or abs(n - branches[-1].n) > 1e-13 * max(abs(n), 1.0):
             branches.append(_classified(n, a0, params))

@@ -1,27 +1,19 @@
 """Scalar special functions backing the closed-form steady-state solvers.
 
-Everything here works on plain Python complex numbers.  The three public
+Everything here works on plain Python complex numbers.  The two public
 entry points are
 
 * :func:`pochhammer`, rising factorials evaluated by direct product,
-* :func:`hyp0f2_ratio`, a ratio of two 0F2(; b1, b2; z) series summed in lockstep,
-* :func:`hyp2f1_terminating`, the terminating Gauss sum 2F1(-m, y; z; 2).
+* :func:`hyp0f2_ratio`, a ratio of two 0F2(; b1, b2; z) series summed in lockstep.
 
 0F2 ratios form the correlation functions of the coherently driven
 model, and the private _conjugate_hyp0f2 sums its normalization, a
-series of real positive terms, to cross-check the amplitude sum; the
-terminating 2F1 at argument 2 builds the displaced-frame wavefunction
-of the two-photon model.  The 0F2 series are summed directly.  The
-Gauss sum is not: at argument 2 its terms cancel like 3^m, so it is
-summed in plain doubles through well-conditioned representations of
-the same polynomial, the connection formula to argument -1 (DLMF
-15.8(ii)) and the Pfaff partner, choosing the one of least absolute
-term mass.  Its error is then about (m+1) 2^-52 times that mass.  The
-two-photon wavefunction needs every order of one (y, z); the private
-generator _gauss_sums walks them, carrying the prefactors and term
-parameters from one order to the next, so order m costs O(m) terms and
-no prefix is rebuilt.  hyp2f1_terminating is that walk's single-order
-form, with the same bits.
+series of real positive terms, to cross-check the amplitude sum.  The
+terminating Gauss sum 2F1(-m, y; z; 2) builds the displaced-frame
+wavefunction of the two-photon model, which needs every order of one
+(y, z); the private generator _gauss_sums walks them.  The 0F2 series
+are summed directly; the Gauss sum is not, since at argument 2 its
+terms cancel like 3^m.
 """
 
 from __future__ import annotations
@@ -128,8 +120,6 @@ def hyp0f2_ratio(
     for m in range(_SERIES_CAP):
         dn = (bn1 + m) * (bn2 + m) * (m + 1)
         dd = (bd1 + m) * (bd2 + m) * (m + 1)
-        if min(abs(dn), abs(dd)) < _UNDERFLOW_FLOOR:
-            raise DenominatorPole(f"hyp0f2_ratio denominator underflow at term {m + 1}")
         tn = tn * z / dn
         td = td * z / dd
         num += tn
@@ -237,15 +227,13 @@ def _least_mass(forms: list[tuple[float, complex]]) -> tuple[float, complex]:
     return best, sum(tied[1:], tied[0]) / len(tied)
 
 
-def hyp2f1_terminating(
-    m: int, y: complex, z: complex, asym: complex | None = None
-) -> complex:
-    """Terminating Gauss sum 2F1(-m, y; z; 2) in plain complex doubles.
+def _gauss_sums(y: complex, z: complex, asym: complex | None = None) -> Iterator[complex]:
+    """Yield the terminating Gauss sums 2F1(-m, y; z; 2) for m = 0, 1, 2, ...
 
     The direct sum at argument 2 is ill-conditioned: its terms alternate
     and their absolute mass grows like 3^m while the value stays of
-    order one.  The same polynomial is therefore summed in up to five
-    forms, with w = z - y and d = y - w:
+    order one.  The same polynomial is therefore summed in plain complex
+    doubles in up to five forms, with w = z - y and d = y - w:
 
     * the connection formula to argument -1 (DLMF 15.8(ii)),
       C(b) = (z-b)_m / (z)_m * 2F1(-m, b; b-z-m+1; -1), at b = y;
@@ -256,7 +244,7 @@ def hyp2f1_terminating(
 
     A form's mass is the sum of its terms' magnitudes times the
     magnitude of its prefactor; in doubles its error is bounded by about
-    (m+1) * eps * mass, eps = 2^-52.  The value released is the one of
+    (m+1) * eps * mass, eps = 2^-52.  The value yielded is the one of
     least mass, averaged with any form of exactly equal mass, which
     keeps it exactly symmetric under y <-> w.  The connection forms are
     summed first; only if (m+1) * eps * mass exceeds 1e-13 of the value
@@ -272,37 +260,20 @@ def hyp2f1_terminating(
     d = 2 asym.  At small d only the last form, of mass O(d), then meets
     the bound; at d = 0 odd orders are exactly zero, without a sum.
 
-    Time and memory are O(m): the prefactors and term parameters are
-    built in one pass to order m and the forms summed once, by the
-    per-order body of _gauss_sums, which returns bitwise this value at
-    every order of its walk.
+    One walk serves every order of one (y, z), and order m costs O(m)
+    terms.  (z)_m, (y)_m / (z)_m and (w)_m / (z)_m, and the lists b + j
+    and (-k) - zb of both connection forms, are carried from order m to
+    m + 1 by the operations that formed them afresh at each order, so
+    every value has the bits of a per-order sum.
 
     Raises
     ------
     InvalidParams
-        If m is not an integer >= 0 (Python and numpy integers pass;
-        bool, float and str are refused), or y, z or asym is not a finite
-        number (bool and str are refused).
+        If y, z or asym is not a finite number (bool and str are
+        refused), at the first order.
     DenominatorPole
-        If (z)_n vanishes for some n <= m (z a nonpositive integer above
-        -m) or underflows below 1e-300.
-    """
-    m = _check_fock_size("hyp2f1_terminating order", m, 0)
-    return next(_gauss_sums(y, z, asym, first=m))
-
-
-def _gauss_sums(
-    y: complex, z: complex, asym: complex | None = None, first: int = 0
-) -> Iterator[complex]:
-    """Yield 2F1(-m, y; z; 2) for m = first, first + 1, ..., as hyp2f1_terminating.
-
-    One walk serves every order of one (y, z).  (z)_m, (y)_m / (z)_m and
-    (w)_m / (z)_m, and the lists b + j and (-k) - zb of both connection
-    forms, are carried from order m to m + 1 by the operations that
-    formed them afresh at each order, so every value has the bits of a
-    per-order sum.  Orders below first are stepped over without a sum.
-    A refusal is raised at the order that meets it and ends the walk.
-    The arguments are checked as hyp2f1_terminating checks them.
+        If (z)_m vanishes (z a nonpositive integer above -m) or
+        underflows below 1e-300, at order m; this ends the walk.
     """
     y = _finite_complex("y", y)
     z = _finite_complex("z", z)
@@ -315,9 +286,7 @@ def _gauss_sums(
     k_w: list[complex] = []
     k_y: list[complex] = []
     for m in itertools.count():
-        if m < first:
-            pass  # only the prefactors and lists below are extended
-        elif m % 2 and d == 0:
+        if m % 2 and d == 0:
             # the Pfaff identity makes the value equal to minus itself
             yield 0j
         else:
@@ -338,7 +307,8 @@ def _gauss_sums(
         poch_z *= zm
         if abs(poch_z) < _UNDERFLOW_FLOOR:
             raise DenominatorPole(
-                f"hyp2f1_terminating: (z)_{m + 1} vanished or underflowed for z={z!r}"
+                f"Gauss sum 2F1(-{m + 1}, y; z; 2): (z)_{m + 1} vanished or underflowed "
+                f"for z={z!r}"
             )
         y_j.append(y + m)
         w_j.append(w + m)

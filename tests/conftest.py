@@ -7,6 +7,7 @@ Tests compare library output against these frozen numbers; nothing in
 the library is allowed to regenerate them.
 """
 
+import itertools
 import json
 import pathlib
 
@@ -15,6 +16,7 @@ import pytest
 from hypothesis import HealthCheck, settings
 
 from kerrsteady.model import ModelParams
+from kerrsteady.specfun import _gauss_sums
 
 DATA_DIR = pathlib.Path(__file__).parent / "data"
 
@@ -31,6 +33,11 @@ settings.load_profile("default")
 def as_complex(pair):
     """Frozen complex values are stored as [re, im] pairs."""
     return complex(pair[0], pair[1])
+
+
+def gauss_sum(m, y, z, asym=None):
+    """2F1(-m, y; z; 2): order m of the package's walk over the orders of (y, z)."""
+    return next(itertools.islice(_gauss_sums(y, z, asym), m, None))
 
 
 def total_photon_mask(cutoffs, top):

@@ -9,7 +9,7 @@ value is recomputed and the result is written to gauss_sum_refs.json
 next to this script, one case per line.
 
 For each order m the script stores either the class name of the
-refusal hyp2f1_terminating must raise -- "DenominatorPole" when some
+refusal the Gauss-sum walk must raise there -- "DenominatorPole" when some
 (z)_n, n <= m, has magnitude below 1e-300 -- or three decimal strings:
 the real and imaginary parts of 2F1(-m, y; z; 2) to 60 significant
 digits, and mass_min to 6.  The value is the direct sum of the m + 1

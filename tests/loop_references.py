@@ -3,9 +3,9 @@
 These are the per-call loops the package ran before it carried its Gauss
 sums from order to order and summed amplitude moments in one array pass:
 
-* `hyp2f1_terminating` rebuilds (z)_m and the two prefactor ratios from
-  n = 0 at every order and forms each connection-form term from b and zb
-  afresh, and picks the least mass through `min()`;
+* `gauss_sum` sums 2F1(-m, y; z; 2) at one order: it rebuilds (z)_m and
+  the two prefactor ratios from n = 0 and forms each connection-form term
+  from b and zb afresh, and picks the least mass through `min()`;
 * `gauss_sums` calls it once per order, as the two-photon closed form did;
 * `amplitude_moment` forms every weight with `math.lgamma` and `math.exp`
   and accumulates numpy scalar products one term at a time.
@@ -21,7 +21,7 @@ import math
 import numpy as np
 
 from kerrsteady.exact_linear import _AMP_MOMENT_SCALE
-from kerrsteady.model import _check_fock_size, _check_moment_orders, _finite_complex
+from kerrsteady.model import _check_moment_orders, _finite_complex
 from kerrsteady.specfun import (
     _EPS,
     _FALLBACK_TOL,
@@ -55,9 +55,8 @@ def _connection_form(m, b, zb, ratio):
     return mass * abs(ratio), ratio * total
 
 
-def hyp2f1_terminating(m, y, z, asym=None):
+def gauss_sum(m, y, z, asym=None):
     """2F1(-m, y; z; 2) with the prefix products rebuilt from n = 0."""
-    m = _check_fock_size("hyp2f1_terminating order", m, 0)
     y = _finite_complex("y", y)
     z = _finite_complex("z", z)
     w = z - y
@@ -68,7 +67,7 @@ def hyp2f1_terminating(m, y, z, asym=None):
         poch_z *= zn
         if abs(poch_z) < _UNDERFLOW_FLOOR:
             raise DenominatorPole(
-                f"hyp2f1_terminating: (z)_{n + 1} vanished or underflowed for z={z!r}"
+                f"Gauss sum 2F1(-{m}, y; z; 2): (z)_{n + 1} vanished or underflowed for z={z!r}"
             )
         ratio_y *= (y + n) / zn
         ratio_w *= (w + n) / zn
@@ -89,10 +88,10 @@ def hyp2f1_terminating(m, y, z, asym=None):
     return value
 
 
-def gauss_sums(y, z, asym=None, first=0):
+def gauss_sums(y, z, asym=None):
     """The package's order-by-order walk, one scalar call per order."""
-    for m in itertools.count(first):
-        yield hyp2f1_terminating(m, y, z, asym)
+    for m in itertools.count():
+        yield gauss_sum(m, y, z, asym)
 
 
 def amplitude_moment(wavefunction, l, k):

@@ -27,7 +27,6 @@ from kerrsteady.exact_linear import (
     amplitude_moment,
     correlation_linear,
     exact_drive_point,
-    photon_number_linear,
     wavefunction_linear,
 )
 from kerrsteady.exact_twophoton import wavefunction_twophoton, wavefunction_via_three_term
@@ -184,7 +183,7 @@ class TestCorrelation:
 
     def test_frozen_reference_moments(self, refs, bistable_params):
         blob = refs["linear_reference"]
-        assert photon_number_linear(bistable_params) == pytest.approx(blob["n"], rel=1e-12)
+        assert correlation_linear(bistable_params, 1, 1).value.real == pytest.approx(blob["n"], rel=1e-12)
         out = correlation_linear(bistable_params, 2, 2)
         assert out.value.real == pytest.approx(blob["g2_numerator"], rel=1e-12)
         amp = correlation_linear(bistable_params, 0, 1)
@@ -242,7 +241,7 @@ def test_classical_limit_matches_mean_field():
     p = ModelParams(delta_c=5.0, chi=-0.001, omega=1.0, gamma=1.0)
     branches = photon_number_branches(p)
     assert len(branches) == 1
-    exact_n = photon_number_linear(p)
+    exact_n = exact_drive_point(p, p.omega).n
     assert exact_n == pytest.approx(branches[0].n, rel=0.01)
 
 
@@ -258,7 +257,7 @@ class TestSweep:
             row = exact_drive_point(bistable_params, om)
             assert row.omega == om
             at_om = bistable_params.replace(omega=om)
-            assert row.n == photon_number_linear(at_om)
+            assert row.n == correlation_linear(at_om, 1, 1).value.real
             assert row.amplitude == correlation_linear(at_om, 0, 1).value
 
     def test_one_wavefunction_build_per_point(self, bistable_params, monkeypatch):
@@ -271,12 +270,12 @@ class TestSweep:
         monkeypatch.setattr(exact_linear, "wavefunction_linear", counting)
         row = exact_drive_point(bistable_params, 4.0)
         assert builds == [bistable_params.replace(omega=4.0)]
-        assert row.n == photon_number_linear(bistable_params)
+        assert row.n == correlation_linear(bistable_params, 1, 1).value.real
 
     def test_g2_definition(self, bistable_params):
         row = exact_drive_point(bistable_params, 4.0)
         pair = correlation_linear(bistable_params, 2, 2).value.real
-        n = photon_number_linear(bistable_params)
+        n = correlation_linear(bistable_params, 1, 1).value.real
         assert row.g2 == pytest.approx(pair / n**2, rel=1e-12)
 
     def test_invalid_grid_rejected(self, bistable_params):
@@ -293,4 +292,4 @@ class TestSweep:
 def test_amplitude_moment_requires_wavefunction_support(bistable_params):
     wf = wavefunction_linear(bistable_params)
     n = amplitude_moment(wf, 1, 1).real
-    assert n == pytest.approx(photon_number_linear(bistable_params), rel=1e-9)
+    assert n == pytest.approx(correlation_linear(bistable_params, 1, 1).value.real, rel=1e-9)

@@ -23,16 +23,15 @@ from kerrsteady.keldysh_ops import (
     build_generalized_hamiltonian_pm,
     convert_basis,
     embed_wavefunction,
-    hamiltonian_parts_clq,
     interior_projector,
     mixing_unitary,
-    q_grade_blocks,
     steady_residual,
 )
 from kerrsteady.lindblad_oracle import fock_annihilation
 from kerrsteady.model import ModelParams, params_from_dict
 
 from conftest import DATA_DIR, as_complex, total_photon_mask
+from generator_parts import hamiltonian_parts_clq, q_grade_blocks
 
 
 def lifted_ladders(cutoffs):

@@ -28,7 +28,6 @@ from kerrsteady.lindblad_oracle import (
     fock_annihilation,
     hamiltonian_fock,
     steady_state,
-    steady_state_at,
 )
 from kerrsteady.model import ModelParams
 
@@ -249,25 +248,25 @@ def test_non_integer_cutoff_refused(cutoff):
     with pytest.raises(InvalidParams, match="cutoff must be an integer"):
         fock_annihilation(cutoff)
     with pytest.raises(InvalidParams, match="cutoff must be an integer"):
-        steady_state_at(damping_only(), cutoff)
+        steady_state(build_liouvillian(damping_only(), cutoff))
 
 
 def test_numpy_integer_cutoff_accepted():
     assert np.array_equal(fock_annihilation(np.int64(3)), fock_annihilation(3))
-    rho = steady_state_at(damping_only(), np.int32(4))
+    rho = steady_state(build_liouvillian(damping_only(), np.int32(4)))
     assert rho.entries.shape == (5, 5)
 
 
 class TestSteadyState:
     def test_pure_damping_gives_vacuum(self):
-        rho = steady_state_at(damping_only(), cutoff=6)
+        rho = steady_state(build_liouvillian(damping_only(), cutoff=6))
         want = np.zeros((7, 7))
         want[0, 0] = 1.0
         assert np.abs(rho.entries - want).max() < 1e-12
 
     def test_drive_free_dark_state(self):
         p = ModelParams(delta_c=3.0, chi=0.7, omega=0.0, gamma=0.5)
-        rho = steady_state_at(p, cutoff=8)
+        rho = steady_state(build_liouvillian(p, cutoff=8))
         assert rho.entries[0, 0] == pytest.approx(1.0, abs=1e-12)
         assert np.abs(rho.entries).sum() == pytest.approx(1.0, abs=1e-10)
 
@@ -285,7 +284,7 @@ class TestSteadyState:
         assert np.trace(rho.entries @ rho.entries).real <= 1.0 + 1e-10
 
     def test_two_photon_steady_state_invariants(self, twophoton_params):
-        rho = steady_state_at(twophoton_params, cutoff=24)
+        rho = steady_state(build_liouvillian(twophoton_params, cutoff=24))
         assert np.trace(rho.entries).real == pytest.approx(1.0, abs=1e-10)
         assert np.linalg.eigvalsh(rho.entries).min() >= -1e-8
 
@@ -308,7 +307,7 @@ def test_validate_refuses_each_broken_invariant(entries, message):
 
 class TestCorrelations:
     def test_normalization_moment(self, twophoton_params):
-        rho = steady_state_at(twophoton_params, cutoff=16)
+        rho = steady_state(build_liouvillian(twophoton_params, cutoff=16))
         assert correlation_from_rho(rho, 0, 0) == pytest.approx(1.0, abs=1e-12)
 
     def test_number_state_occupation(self):
@@ -370,6 +369,7 @@ class TestAdaptiveCutoff:
         def no_solve(*args):
             raise AssertionError("solved before the tolerance was checked")
 
-        monkeypatch.setattr(lindblad_oracle, "steady_state_at", no_solve)
+        monkeypatch.setattr(lindblad_oracle, "build_liouvillian", no_solve)
+        monkeypatch.setattr(lindblad_oracle, "steady_state", no_solve)
         with pytest.raises(InvalidParams, match="tol must be positive and finite"):
             adaptive_cutoff(bistable_params, observable=(1, 1), tol=tol)

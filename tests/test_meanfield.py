@@ -181,6 +181,19 @@ def test_branches_at_a_fold_are_degenerate():
     assert middle.n == pytest.approx(n_fold, rel=1e-7)
 
 
+def test_lower_fold_drive_keeps_cardano_double_root(refs):
+    # The cubic's discriminant rounds to exactly 0 at this drive, so Cardano
+    # returns the lower fold's double root; Newton steps leave it (f' ~ 0
+    # there) for n = 9.71, off the cubic, and the unpolished root is kept.
+    fold = min(refs["fold_points"], key=lambda point: point["omega"])
+    p = drive_family(1.5791511621975771)
+    lower, merged = photon_number_branches(p)
+    assert merged.n == pytest.approx(fold["n"], rel=1e-7)
+    assert abs(cubic_residual(merged.n, p)) <= 1e-12 * 4.0 * p.omega**2
+    assert lower.stable and not merged.stable
+    assert lower.n == pytest.approx(min(companion_roots(p)), rel=ROOT_RTOL)
+
+
 sampled_params = st.builds(
     ModelParams,
     delta_c=st.floats(min_value=-10.0, max_value=10.0),

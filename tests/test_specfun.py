@@ -15,14 +15,9 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from kerrsteady.errors import DenominatorPole, InvalidParams, KerrSteadyError, NonConvergence
-from kerrsteady.specfun import (
-    _conjugate_hyp0f2,
-    hyp0f2_ratio,
-    hyp2f1_terminating,
-    pochhammer,
-)
+from kerrsteady.specfun import _conjugate_hyp0f2, _gauss_sums, hyp0f2_ratio, pochhammer
 
-from conftest import DATA_DIR, as_complex
+from conftest import DATA_DIR, as_complex, gauss_sum
 
 finite_floats = st.floats(
     min_value=-50.0, max_value=50.0, allow_nan=False, allow_infinity=False
@@ -149,19 +144,19 @@ class TestHyp0F2:
         assert joint == pytest.approx(direct, rel=1e-12)
 
 
-class TestHyp2F1Terminating:
+class TestGaussSums:
     def test_order_zero(self):
-        assert hyp2f1_terminating(0, 0.3 + 1j, 2.0 - 1j) == 1.0 + 0j
+        assert gauss_sum(0, 0.3 + 1j, 2.0 - 1j) == 1.0 + 0j
 
     def test_order_one(self):
         y, z = 0.8 - 0.1j, -1.5 + 0.4j
-        got = hyp2f1_terminating(1, y, z)
+        got = gauss_sum(1, y, z)
         assert got == pytest.approx(1.0 - 2.0 * y / z, rel=1e-15)
 
     def test_frozen_order_twelve(self, refs):
         y = as_complex(refs["twophoton_derived"]["y"])
         z = as_complex(refs["twophoton_derived"]["z"])
-        got = hyp2f1_terminating(12, y, z)
+        got = gauss_sum(12, y, z)
         assert got == pytest.approx(as_complex(refs["hyp2f1_m12"]), rel=1e-10)
 
     @given(
@@ -171,7 +166,7 @@ class TestHyp2F1Terminating:
     )
     def test_binomial_collapse_when_y_equals_z(self, m, yr, yi):
         y = complex(yr, yi)
-        got = hyp2f1_terminating(m, y, y)
+        got = gauss_sum(m, y, y)
         assert got == pytest.approx((-1.0) ** m, rel=1e-12, abs=1e-12)
 
     @given(
@@ -183,7 +178,7 @@ class TestHyp2F1Terminating:
     )
     def test_matches_brute_force(self, m, yr, yi, zr, zi):
         y, z = complex(yr, yi), complex(zr, zi)
-        got = hyp2f1_terminating(m, y, z)
+        got = gauss_sum(m, y, z)
         ref, mass = brute_hyp2f1(m, y, z)
         # the double-precision brute force is the less accurate side once
         # the alternating terms grow, so its mass sets the error budget
@@ -194,7 +189,7 @@ class TestHyp2F1Terminating:
         # y = z within the pole guard of -2 skips both connection forms;
         # the argument-2 Pfaff partner 2F1(-m, 0; z; 2) = 1 gives (-1)^m
         z = complex(-2.0, 1e-13)
-        assert hyp2f1_terminating(m, z, z) == pytest.approx((-1.0) ** m, abs=1e-12)
+        assert gauss_sum(m, z, z) == pytest.approx((-1.0) ** m, abs=1e-12)
 
     @pytest.mark.parametrize("m", [1, 3, 7, 15, 31])
     def test_odd_orders_carry_unrounded_asymmetry(self, m):
@@ -210,12 +205,22 @@ class TestHyp2F1Terminating:
             term *= 2 * (n - m) * (y_exact + n) / ((z_exact + n) * (n + 1))
         ref = float(ref)
         y = z / 2 + a
-        assert abs(hyp2f1_terminating(m, y, z, a) - ref) <= 1e-14 * abs(ref)
-        assert abs(hyp2f1_terminating(m, y, z) - ref) > 1e-9 * abs(ref)
+        assert abs(gauss_sum(m, y, z, a) - ref) <= 1e-14 * abs(ref)
+        assert abs(gauss_sum(m, y, z) - ref) > 1e-9 * abs(ref)
 
     def test_pole_in_z_rejected(self):
         with pytest.raises(DenominatorPole):
-            hyp2f1_terminating(5, 1.0 + 1j, -2.0)
+            gauss_sum(5, 1.0 + 1j, -2.0)
+
+    def test_pole_refusal_ends_the_walk(self):
+        # (z)_3 = z (z+1) (z+2) vanishes at z = -2: orders 0 to 2 are
+        # yielded, order 3 is refused, and nothing follows
+        sums = _gauss_sums(1.0, -2.0)
+        assert [next(sums) for _ in range(3)] == [1.0, 2.0, 7.0]
+        with pytest.raises(DenominatorPole, match=r"\(z\)_3 vanished or underflowed"):
+            next(sums)
+        with pytest.raises(StopIteration):
+            next(sums)
 
     def test_gauss_sums_within_bound_of_references(self):
         """Every value within its error bound of a 60-digit reference.
@@ -243,11 +248,18 @@ class TestHyp2F1Terminating:
         for case in cases:
             y = complex(*map(float.fromhex, case["y"]))
             z = complex(*map(float.fromhex, case["z"]))
-            for m, want in zip(range(case["m_from"], case["m_to"] + 1), case["values"]):
-                try:
-                    got = hyp2f1_terminating(m, y, z)
-                except KerrSteadyError as exc:
-                    got = type(exc).__name__
+            # one walk per case; a refusal ends it, so later orders refuse too
+            sums = _gauss_sums(y, z)
+            got = None
+            for m in range(case["m_to"] + 1):
+                if not isinstance(got, str):
+                    try:
+                        got = next(sums)
+                    except KerrSteadyError as exc:
+                        got = type(exc).__name__
+                if m < case["m_from"]:
+                    continue
+                want = case["values"][m - case["m_from"]]
                 if isinstance(want, str) or isinstance(got, str):
                     if got != want:
                         mismatches.append((case["label"], m, got, want))
@@ -258,20 +270,15 @@ class TestHyp2F1Terminating:
                     mismatches.append((case["label"], m, got, ref, bound))
         assert not mismatches, mismatches[:5]
 
-    @pytest.mark.parametrize("order", [-1, True, False, 3.0, "3"])
-    def test_rejects_bad_order(self, order):
-        with pytest.raises(InvalidParams):
-            hyp2f1_terminating(order, 1.0, 1.0)
-
 
 @pytest.mark.parametrize(
     "call",
     [
         lambda: pochhammer(complex(math.inf, 0.0), 3),
         lambda: hyp0f2_ratio(1.0, 2.0, 1.5, math.inf, 1.0),
-        lambda: hyp2f1_terminating(3, 0.5, 2.0, complex(0.0, math.inf)),
+        lambda: next(_gauss_sums(0.5, 2.0, complex(0.0, math.inf))),
     ],
-    ids=["pochhammer", "hyp0f2_ratio", "hyp2f1_asym"],
+    ids=["pochhammer", "hyp0f2_ratio", "gauss_sums_asym"],
 )
 def test_rejects_nonfinite_arguments(call):
     with pytest.raises(InvalidParams):
@@ -285,12 +292,12 @@ def test_rejects_nonfinite_arguments(call):
         lambda: pochhammer(True, 3),
         lambda: hyp0f2_ratio("1", 1, 1, 1, 0.5),
         lambda: hyp0f2_ratio(2.0, 1.0, 1.0, 1.0, False),
-        lambda: hyp2f1_terminating(3, "0.5", 1.5),
-        lambda: hyp2f1_terminating(3, 0.5, True),
-        lambda: hyp2f1_terminating(3, 0.5, 1.5, asym=True),
+        lambda: next(_gauss_sums("0.5", 1.5)),
+        lambda: next(_gauss_sums(0.5, True)),
+        lambda: next(_gauss_sums(0.5, 1.5, asym=True)),
     ],
     ids=["pochhammer-str", "pochhammer-bool", "hyp0f2_ratio-str", "hyp0f2_ratio-bool",
-         "hyp2f1-str", "hyp2f1-bool", "hyp2f1-asym-bool"],
+         "gauss_sums-str", "gauss_sums-bool", "gauss_sums-asym-bool"],
 )
 def test_rejects_bool_and_str_numbers(call):
     # model's number rule: a bool or str never runs as a number
@@ -300,8 +307,7 @@ def test_rejects_bool_and_str_numbers(call):
 
 def test_numpy_numbers_pass_as_python_numbers():
     assert pochhammer(0.5, np.int64(2)) == pochhammer(0.5, 2)
-    assert hyp2f1_terminating(np.int64(3), 0.5, 1.5) == hyp2f1_terminating(3, 0.5, 1.5)
-    assert hyp2f1_terminating(np.int32(4), np.float64(0.5), np.complex128(1.5 + 0.25j)) \
-        == hyp2f1_terminating(4, 0.5, 1.5 + 0.25j)
+    assert gauss_sum(4, np.float64(0.5), np.complex128(1.5 + 0.25j)) \
+        == gauss_sum(4, 0.5, 1.5 + 0.25j)
     assert hyp0f2_ratio(np.float64(2.5), 2.0, 1.5, np.int64(1), 0.75) \
         == hyp0f2_ratio(2.5, 2.0, 1.5, 1, 0.75)
