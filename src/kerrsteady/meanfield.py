@@ -18,6 +18,8 @@ stable when both eigenvalues of the fluctuation Jacobian in (delta a, delta a*),
 
 have negative real part.  Its trace is -gamma and its determinant
 D^2 + gamma^2/4 - 4 chi^2 n^2, so they are -gamma/2 +- sqrt(4 chi^2 n^2 - D^2).
+The determinant equals d(omega^2)/dn along the cubic, so of three
+branches the middle one, where omega^2(n) falls, is the saddle.
 Roots (Cardano's form with a Newton polish, taken in u = 4 chi n where
 the cubic in n is too badly scaled for doubles) and stability both come
 in closed form, so a companion matrix and an eigenvalue solver stay free as
@@ -49,7 +51,9 @@ class MeanFieldBranch:
     stable : bool
         Linear stability: both Jacobian eigenvalues have real part below
         minus a numerical margin.  A real part within the margin of zero
-        (a fold) counts as unstable.
+        (a fold) counts as unstable.  Of three branches with a degenerate
+        pair, where the eigenvalues' signs are roundoff, the middle one is
+        unstable and the pair's other one stable.
     eigenvalues : tuple[complex, complex]
         Jacobian eigenvalues of the fluctuation dynamics.
     degenerate : bool
@@ -235,6 +239,10 @@ def _fixed_points(params: ModelParams) -> list[MeanFieldBranch]:
         if hi - lo <= _DEGENERATE_REL * max(abs(hi), abs(lo), 1e-12):
             branches[i] = replace(branches[i], degenerate=True)
             branches[i + 1] = replace(branches[i + 1], degenerate=True)
+    if len(branches) == 3:
+        # the slope of omega^2(n) decides: negative at the middle root only
+        branches = [replace(b, stable=i != 1) if b.degenerate else b
+                    for i, b in enumerate(branches)]
     return branches
 
 

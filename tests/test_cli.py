@@ -247,7 +247,9 @@ class TestHappyPaths:
         code, target = run_to_file(tmp_path, ["validate", "--manifest", str(manifest)])
         assert code == 0
         rows = [row.split(",") for row in target.read_text().splitlines()[2:]]
-        assert [row[5:] for row in rows] == [["72", "1"], ["20", "1"]]
+        # the drive case certifies at the first cutoff: 18 and 36 agree
+        # (test_lindblad_oracle::test_high_order_moment_matches_closed_form)
+        assert [row[5:] for row in rows] == [["18", "1"], ["20", "1"]]
         assert all(float(row[4]) <= 1e-9 for row in rows)
 
     def test_entry_point_smoke(self, tmp_path):

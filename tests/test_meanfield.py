@@ -194,6 +194,29 @@ def test_lower_fold_drive_keeps_cardano_double_root(refs):
     assert lower.n == pytest.approx(min(companion_roots(p)), rel=ROOT_RTOL)
 
 
+@pytest.mark.parametrize("fold", [0, 1], ids=["lower-fold", "upper-fold"])
+def test_three_branches_near_a_fold_have_the_middle_one_unstable(refs, fold):
+    # The Jacobian determinant is d(omega^2)/dn: negative at the middle of
+    # three roots, positive at the outer two.  Inside a fold's degenerate
+    # band the eigenvalues' signs are roundoff; 4 ulps above the lower fold
+    # (omega = 1.5791511621975785) both merging branches have real parts
+    # near -3e-7.
+    omega = sorted(point["omega"] for point in refs["fold_points"])[fold]
+    drives = [omega]
+    for direction in (-math.inf, math.inf):
+        w = omega
+        for _ in range(40):
+            w = math.nextafter(w, direction)
+            drives.append(w)
+    in_band = 0
+    for w in drives:
+        branches = photon_number_branches(drive_family(w))
+        if len(branches) == 3:
+            in_band += any(b.degenerate for b in branches)
+            assert [b.stable for b in branches] == [True, False, True], w
+    assert in_band
+
+
 sampled_params = st.builds(
     ModelParams,
     delta_c=st.floats(min_value=-10.0, max_value=10.0),
