@@ -31,11 +31,8 @@ from .exact_linear import (
 )
 from .exact_twophoton import (
     ResonancePrediction,
-    ResonanceScan,
     correlation_twophoton,
-    photon_number_twophoton,
     resonance_predictions,
-    resonance_scan,
     scan_point,
     strict_local_maxima,
     wavefunction_twophoton,
@@ -66,10 +63,8 @@ from .lindblad_oracle import (
 )
 from .meanfield import (
     MeanFieldBranch,
-    bistable_window,
     drive_point_branches,
     photon_number_branches,
-    sweep_drive,
 )
 from .model import (
     LinearDerived,

@@ -48,6 +48,9 @@ _PARAM_FLAGS = (
     ("lambda_im", "--lambda2-im", "two-photon pump, imaginary part"),
     ("kappa", "--kappa", "two-photon loss rate"),
 )
+# no grid in the docs, tests or benchmark comes near this; a step far below
+# the span would otherwise fill memory with grid points before the first row
+_MAX_GRID_POINTS = 10**6
 
 
 class _UsageError(Exception):
@@ -140,8 +143,9 @@ def _grid(args, anchor: float, unit: str) -> tuple[list[float], dict]:
     if stop < start:
         raise _UsageError(f"{what} grid is empty: from {start} to {stop}")
     span = (stop - start) / step
-    if not math.isfinite(span):
-        raise _UsageError(f"{what} grid from {start} to {stop} by {step} has too many points")
+    if not span + 1e-9 < _MAX_GRID_POINTS:  # an infinite span fails too
+        raise _UsageError(f"{what} grid from {start} to {stop} by {step} has too many points "
+                          f"(the cap is {_MAX_GRID_POINTS})")
     count = int(math.floor(span + 1e-9)) + 1
     points = [(start + i * step) * anchor for i in range(count)]
     return points, {"from": start, "to": stop, "step": step, "unit": unit}
@@ -282,9 +286,12 @@ def _cmd_validate(args) -> int:
     for idx, case in enumerate(manifest):
         if not isinstance(case, dict) or "params" not in case:
             raise _UsageError(f"case {idx} must be an object with a 'params' entry")
+        point_id = str(case.get("id", idx))
+        # the table's columns are cut at commas and its rows at line breaks
+        if "," in point_id or point_id.splitlines() not in ([], [point_id]):
+            raise _UsageError(f"case {idx}: id {point_id!r} holds a comma or a line break")
         params = params_from_dict(case["params"])
         l, k = _moment_orders(case.get("l", 1), case.get("k", 1), f"case {idx}")
-        point_id = str(case.get("id", idx))
         exact = correlation_twophoton(params, l, k).value
         cutoff, oracle = adaptive_cutoff(params, observable=(l, k), tol=args.oracle_tol)
         oracle = complex(oracle)
@@ -380,6 +387,9 @@ def main(argv=None) -> int:
         return 2
     except KerrSteadyError as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return 1
+    except MemoryError as exc:
+        print(f"error: out of memory: {str(exc) or 'an allocation failed'}", file=sys.stderr)
         return 1
 
 

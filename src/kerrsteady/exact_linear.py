@@ -119,9 +119,10 @@ def _ladder(
     with a fixed truncation it computes exactly that many levels and
     reports whether the rule held there.  Either way, a squared-amplitude
     sum past the double range raises NonConvergence naming the Fock index
-    where it ran out.  The stopping rule lives here and nowhere else, so
-    a proven tail bound from the term ratio replaces the run rule in this
-    one place.
+    where it ran out.  Every amplitude ladder stops by this rule, but the
+    0F2 series in specfun.hyp0f2_ratio and specfun._conjugate_hyp0f2 each
+    stop by their own five-term run rule, so a proven tail bound must
+    replace the run rule in those two places as well as here.
     """
     if truncation is not None:
         truncation = _check_fock_size("truncation", truncation, 0)

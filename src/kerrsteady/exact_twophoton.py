@@ -33,7 +33,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import CrossCheckFailure, InvalidParams, NonConvergence
+from .errors import CrossCheckFailure, NonConvergence
 from .exact_linear import (
     _MAX_TRUNCATION,
     _TAIL_TOL,
@@ -43,13 +43,12 @@ from .exact_linear import (
     _ladder,
     _package,
     _recursion_amplitudes,
-    _real_photon_number,
     _release_moment,
     amplitude_moment,
     correlation_linear,
     wavefunction_linear,
 )
-from .model import (ModelParams, _at_grid, _check_fock_size, _check_moment_orders,
+from .model import (ModelParams, _check_fock_size, _check_moment_orders,
                     _require_pump_with_loss, derive_twophoton)
 from .specfun import _gauss_sums
 
@@ -179,11 +178,6 @@ def correlation_twophoton(params: ModelParams, l: int, k: int) -> CorrelationRes
     )
 
 
-def photon_number_twophoton(params: ModelParams) -> float:
-    """Steady-state photon number <a^dag a> for the two-photon model."""
-    return _real_photon_number(correlation_twophoton(params, 1, 1))
-
-
 @dataclass(frozen=True)
 class ResonancePrediction:
     """Expected location and selection-rule status of one resonance.
@@ -216,24 +210,6 @@ def resonance_predictions(n_max: int, params: ModelParams) -> list[ResonancePred
     return out
 
 
-@dataclass
-class ResonanceScan:
-    """Detuning sweep of the photon number with strict-peak flags.
-
-    detunings holds absolute delta_c values as swept; photon_numbers and
-    g2 are the exact steady-state responses per point.
-    """
-
-    detunings: np.ndarray
-    photon_numbers: np.ndarray
-    g2: np.ndarray
-    peak_indices: tuple[int, ...]
-
-    @property
-    def peak_detunings(self) -> np.ndarray:
-        return self.detunings[list(self.peak_indices)]
-
-
 def strict_local_maxima(values) -> tuple[int, ...]:
     """Indices that strictly beat both neighbors; endpoints never count."""
     arr = np.asarray(values, dtype=float)
@@ -255,23 +231,3 @@ def scan_point(params: ModelParams, delta_c: float) -> tuple[float, float]:
     n = amplitude_moment(wf, 1, 1).real
     pair = amplitude_moment(wf, 2, 2).real
     return n, _g2(pair, n)
-
-
-def resonance_scan(params: ModelParams, detunings) -> ResonanceScan:
-    """Sweep the detuning and locate photon-number maxima.
-
-    Each grid value replaces params.delta_c; everything else is held
-    fixed.  A maximum must strictly beat both neighbors, so plateaus and
-    endpoints never count.
-    """
-    at_points = _at_grid(params, "delta_c", detunings)
-    if len(at_points) < 3:
-        raise InvalidParams("detuning grid must hold >= 3 points")
-    grid = np.array([p.delta_c for p in at_points])
-    numbers, coherence = np.array([scan_point(params, d) for d in grid]).T
-    return ResonanceScan(
-        detunings=grid,
-        photon_numbers=numbers,
-        g2=coherence,
-        peak_indices=strict_local_maxima(numbers),
-    )

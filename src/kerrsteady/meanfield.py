@@ -33,7 +33,7 @@ import math
 from dataclasses import dataclass, replace
 
 from .errors import InvalidParams, InvariantViolation
-from .model import ModelParams, _at_drive, _at_grid, _require_coherent_drive
+from .model import ModelParams, _at_drive, _require_coherent_drive
 
 _DEGENERATE_REL = 1e-7
 
@@ -260,26 +260,3 @@ def _classified(n: float, a0: complex, params: ModelParams) -> MeanFieldBranch:
 def drive_point_branches(params: ModelParams, omega: float) -> list[MeanFieldBranch]:
     """Classified branches at one drive amplitude, sorted ascending in n."""
     return photon_number_branches(_at_drive(params, omega))
-
-
-def sweep_drive(params: ModelParams, omega_grid) -> list[tuple[float, list[MeanFieldBranch]]]:
-    """Branch structure across a drive grid, each branch fully classified.
-
-    Returns one (omega, branches) row per grid point, in grid order.  The
-    row layout is stable regardless of how many branches coexist, which
-    is what the CSV writer and the window-detection tests key on.
-    """
-    return [(p.omega, drive_point_branches(p, p.omega))
-            for p in _at_grid(params, "omega", omega_grid)]
-
-
-def bistable_window(params: ModelParams, omega_grid) -> tuple[float, float] | None:
-    """Smallest and largest grid omega with three coexisting branches.
-
-    None when no grid point is tristable.  Grid resolution limits the
-    endpoints; no refinement between grid points is attempted.
-    """
-    three = [om for om, branches in sweep_drive(params, omega_grid) if len(branches) == 3]
-    if not three:
-        return None
-    return (min(three), max(three))

@@ -14,8 +14,8 @@ All frequencies share one unit; only ratios matter, which
 delta_c / chi directly.
 
 This module also holds the package's input rules: finite real and complex
-numbers, Fock sizes, moment orders, pairs, parameter grids, the drive sign,
-the coherent-drive solvers' refusal of a two-photon term and the two-photon
+numbers, Fock sizes, moment orders, pairs, the drive sign, the
+coherent-drive solvers' refusal of a two-photon term and the two-photon
 solvers' refusal of loss without a pump.  Other modules call these rules
 instead of writing their own.
 """
@@ -181,15 +181,6 @@ def _at_drive(params: ModelParams, omega) -> ModelParams:
     if at_om.omega < 0.0:
         raise InvalidParams(f"drive values must be >= 0, got {omega!r}")
     return at_om
-
-
-def _at_grid(params: ModelParams, name: str, grid) -> list[ModelParams]:
-    """params with rate `name` at each grid value; ModelParams checks each before use."""
-    try:
-        values = list(grid)
-    except TypeError:
-        raise InvalidParams(f"{name} grid must be an iterable of numbers, got {grid!r}") from None
-    return [params.replace(**{name: value}) for value in values]
 
 
 @dataclass(frozen=True)

@@ -5,6 +5,7 @@ smoke test of the installed entry point.  Output files land in tmp_path;
 the golden tables in tests/data pin the byte-level format.
 """
 
+import argparse
 import json
 import os
 import subprocess
@@ -15,7 +16,7 @@ import numpy as np
 import pytest
 
 import loop_references
-from kerrsteady import cli, exact_linear, exact_twophoton
+from kerrsteady import cli, exact_linear, exact_twophoton, keldysh_ops
 from kerrsteady.cli import main
 from kerrsteady.keldysh_ops import build_generalized_hamiltonian_clq, steady_residual
 from kerrsteady.exact_linear import amplitude_moment
@@ -421,15 +422,29 @@ class TestUsageErrors:
                      "-o", str(tmp_path / "never.csv")])
         assert code == 2
 
-    def test_unbounded_point_count_exits_two(self, tmp_path, capsys):
-        # (to - from) / step overflows to inf: a usage error, not a traceback
+    @pytest.mark.parametrize("stop,step", [("1e300", "1e-300"), ("1", "1e-300"), ("1e6", "1")],
+                             ids=["infinite", "finite", "cap-plus-one"])
+    def test_unbounded_point_count_exits_two(self, tmp_path, capsys, monkeypatch, stop, step):
+        # (to - from) / step past the cap, or overflowed to inf: a usage error
+        # before any grid point is built, not a traceback or a full memory
+        def no_points(*args, **kwargs):
+            raise AssertionError("a grid was built past the cap")
+
+        monkeypatch.setattr(cli, "range", no_points, raising=False)
         target = tmp_path / "never.csv"
         code = main(["exact-sweep", "--delta-c", "5", "--chi", "-0.25", "--gamma", "1",
-                     "--omega-from", "0", "--omega-to", "1e300", "--omega-step", "1e-300",
+                     "--omega-from", "0", "--omega-to", stop, "--omega-step", step,
                      "-o", str(target)])
         assert code == 2
         assert not target.exists()
         assert "too many points" in capsys.readouterr().err
+
+    def test_grid_at_the_cap_is_built(self):
+        args = argparse.Namespace(grid_axis=("omega", "omega"), omega_from=0.0,
+                                  omega_to=cli._MAX_GRID_POINTS - 1.0, omega_step=1.0)
+        points, _ = cli._grid(args, 1.0, "absolute")
+        assert len(points) == cli._MAX_GRID_POINTS
+        assert points[-1] == cli._MAX_GRID_POINTS - 1.0
 
     def test_config_and_flags_exclusive(self, tmp_path, capsys):
         config = tmp_path / "config.json"
@@ -506,6 +521,26 @@ class TestUsageErrors:
         manifest.write_text(json.dumps([{"l": 1}]))
         assert main(["validate", "--manifest", str(manifest)]) == 2
         capsys.readouterr()
+
+    @pytest.mark.parametrize("point_id", ["w4,fake", "w4\nfake", "w4\r\n", "w4\u2028fake"],
+                             ids=["comma", "newline", "crlf", "line-separator"])
+    def test_validate_id_that_splits_the_table_exits_two(
+        self, tmp_path, capsys, monkeypatch, point_id
+    ):
+        def no_case(*args, **kwargs):
+            raise AssertionError("a case ran with an id the table cannot hold")
+
+        monkeypatch.setattr(cli, "correlation_twophoton", no_case)
+        monkeypatch.setattr(cli, "adaptive_cutoff", no_case)
+        manifest = tmp_path / "cases.json"
+        manifest.write_text(json.dumps([
+            {"id": point_id, "params": {"delta_c": 5.0, "chi": -0.25, "gamma": 1.0,
+                                        "omega": 4.0}},
+        ]))
+        target = tmp_path / "never.csv"
+        assert main(["validate", "--manifest", str(manifest), "-o", str(target)]) == 2
+        assert not target.exists()
+        assert "case 0: id" in capsys.readouterr().err
 
     def test_dict_manifest_exits_two(self, tmp_path, capsys):
         # a manifest is a list of cases; a {"cases": [...]} wrapper is refused
@@ -601,6 +636,20 @@ class TestDomainErrors:
         assert out == ""
         assert err.startswith("error: ") and err.count("\n") == 1
         assert where in err and "Traceback" not in err
+
+    def test_out_of_memory_exits_one_with_one_error_line(self, tmp_path, capsys, monkeypatch):
+        # a generator too large to hold is refused in one line, as numpy words it
+        def no_room(cutoffs, *parts):
+            dim = (cutoffs[0] + 1) * (cutoffs[1] + 1)
+            raise MemoryError(f"Unable to allocate for an array with shape ({dim}, {dim})")
+
+        monkeypatch.setattr(keldysh_ops, "_assemble", no_room)
+        target = tmp_path / "never.json"
+        assert main(RESIDUAL_ARGS + ["-o", str(target)]) == 1
+        assert not target.exists()
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err == "error: out of memory: Unable to allocate for an array with shape (305, 305)\n"
 
     def test_moment_refusal_prints_plain_complex(self, capsys):
         # the amplitude route is a Python complex, so its repr is numpy-free

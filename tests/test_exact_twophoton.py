@@ -19,9 +19,7 @@ from kerrsteady.errors import CrossCheckFailure, InvalidParams, UnsupportedModel
 from kerrsteady.exact_linear import correlation_linear, wavefunction_linear
 from kerrsteady.exact_twophoton import (
     correlation_twophoton,
-    photon_number_twophoton,
     resonance_predictions,
-    resonance_scan,
     scan_point,
     strict_local_maxima,
     wavefunction_twophoton,
@@ -69,12 +67,14 @@ def small_drive_examples(**other):
 class TestWavefunctionRoutes:
     def test_frozen_photon_numbers(self, refs, twophoton_params):
         blob = refs["twophoton_reference_omega01"]
-        assert photon_number_twophoton(twophoton_params) == pytest.approx(
+        assert correlation_twophoton(twophoton_params, 1, 1).value.real == pytest.approx(
             blob["n"], rel=1e-12
         )
         undriven = twophoton_params.replace(omega=0.0)
         blob0 = refs["twophoton_reference_omega0"]
-        assert photon_number_twophoton(undriven) == pytest.approx(blob0["n"], rel=1e-12)
+        assert correlation_twophoton(undriven, 1, 1).value.real == pytest.approx(
+            blob0["n"], rel=1e-12
+        )
 
     def test_frozen_g2(self, refs, twophoton_params):
         n, g2 = scan_point(twophoton_params, twophoton_params.delta_c)
@@ -180,7 +180,7 @@ class TestWavefunctionRoutes:
             correlation_twophoton(p, 1, 1)
 
     def test_far_detuned_response_is_flat(self, twophoton_params):
-        n = photon_number_twophoton(twophoton_params.replace(delta_c=5.0))
+        n = correlation_twophoton(twophoton_params.replace(delta_c=5.0), 1, 1).value.real
         assert n < 0.05
 
     def test_weak_pump_limit_matches_linear(self, bistable_params):
@@ -285,28 +285,3 @@ class TestResonanceBookkeeping:
         assert strict_local_maxima([0.0, 1.0, 1.0, 0.0]) == ()
         assert strict_local_maxima([3.0, 2.0, 1.0]) == ()
         assert strict_local_maxima([0.0, 1.0, 0.5, 2.0, 0.0]) == (1, 3)
-
-    def test_scan_finds_pair_resonance(self, twophoton_params):
-        grid = np.arange(-1.3, -0.65, 0.1)
-        scan = resonance_scan(twophoton_params.replace(omega=0.0), grid)
-        assert len(scan.peak_indices) == 1
-        assert scan.peak_detunings[0] == pytest.approx(-1.0, abs=0.1)
-        assert scan.photon_numbers.shape == grid.shape
-        assert scan.g2.shape == grid.shape
-
-    def test_scan_rejects_short_grid(self, twophoton_params):
-        with pytest.raises(InvalidParams):
-            resonance_scan(twophoton_params, [-1.0, 0.0])
-
-    @pytest.mark.parametrize("grid", [["a", "b", "c"], [-1.0, True, 0.0], 5.0, [[-1.0, 0.0, 1.0]]],
-                             ids=["str", "bool", "scalar", "nested"])
-    def test_scan_rejects_malformed_grid(self, twophoton_params, grid):
-        # each point's ModelParams checks its detuning before anything converts it
-        with pytest.raises(InvalidParams):
-            resonance_scan(twophoton_params, grid)
-
-    def test_scan_grid_keeps_its_values(self, twophoton_params):
-        grid = [-1.1, np.float64(-1.0), np.float32(-0.9), -1]
-        scan = resonance_scan(twophoton_params, grid)
-        assert scan.detunings.dtype == np.float64
-        assert scan.detunings.tolist() == np.asarray(grid, dtype=float).tolist()

@@ -7,20 +7,21 @@ printed Jacobian and by integrating the classical equation of motion
 with a throwaway RK4 stepper.
 """
 
+import itertools
 import math
+from collections import Counter
 
 import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from kerrsteady.cli import main
 from kerrsteady.errors import InvalidParams, UnsupportedModel
 from kerrsteady.meanfield import (
     _cardano_real_roots,
-    bistable_window,
     drive_point_branches,
     photon_number_branches,
-    sweep_drive,
 )
 from kerrsteady.model import ModelParams
 
@@ -302,54 +303,41 @@ class TestStability:
         assert abs(a - branch.a0) < 1e-8
 
 
+def branch_counts(capsys, start, stop, step):
+    """(omega, branch count) per grid point of meanfield-sweep on drive_family, in grid order."""
+    code = main(["meanfield-sweep", "--delta-c", "5", "--chi", "-0.25", "--gamma", "1",
+                 "--omega-from", str(start), "--omega-to", str(stop), "--omega-step", str(step)])
+    out = capsys.readouterr().out
+    assert code == 0
+    # one row per branch, a point's rows adjacent: Counter keeps grid order
+    return list(Counter(float(line.split(",")[0]) for line in out.splitlines()[2:]).items())
+
+
 class TestSweep:
-    def test_single_point_grid(self):
-        rows = sweep_drive(drive_family(0.0), [0.0])
-        assert len(rows) == 1
-        omega, branches = rows[0]
-        assert omega == 0.0 and len(branches) == 1 and branches[0].n == 0.0
+    """The drive sweep as it ships: meanfield-sweep, run in-process."""
 
-    def test_statelessness_under_concatenation(self):
-        p = drive_family(0.0)
-        g1, g2 = [0.5, 1.0], [4.0, 7.0]
-        joint = sweep_drive(p, g1 + g2)
-        split = sweep_drive(p, g1) + sweep_drive(p, g2)
-        for (om_a, br_a), (om_b, br_b) in zip(joint, split):
-            assert om_a == om_b
-            assert [b.n for b in br_a] == [b.n for b in br_b]
+    def test_single_point_grid(self, capsys):
+        assert branch_counts(capsys, 0, 0, 1) == [(0.0, 1)]
+        (branch,) = drive_point_branches(drive_family(0.0), 0.0)
+        assert branch.n == 0.0
 
-    def test_branch_count_profile(self):
-        grid = np.arange(0.0, 8.0 + 1e-9, 0.05)
-        counts = [len(br) for _, br in sweep_drive(drive_family(0.0), grid)]
-        profile = [c for c, _ in __import__("itertools").groupby(counts)]
-        assert profile == [1, 3, 1]
+    def test_branch_count_profile(self, capsys):
+        counts = [c for _, c in branch_counts(capsys, 0, 8, 0.05)]
+        assert len(counts) == 161
+        assert [c for c, _ in itertools.groupby(counts)] == [1, 3, 1]
 
-    def test_window_endpoints_match_frozen_folds(self, refs):
-        grid = np.arange(0.0, 8.0 + 1e-9, 0.05)
-        window = bistable_window(drive_family(0.0), grid)
-        assert window is not None
-        lo, hi = window
+    def test_window_endpoints_match_frozen_folds(self, capsys, refs):
+        three = [om for om, c in branch_counts(capsys, 0, 8, 0.05) if c == 3]
+        assert three
         folds = [f["omega"] for f in refs["fold_points"]]
-        assert abs(lo - min(folds)) <= 0.05 + 1e-12
-        assert abs(hi - max(folds)) <= 0.05 + 1e-12
+        assert abs(min(three) - min(folds)) <= 0.05 + 1e-12
+        assert abs(max(three) - max(folds)) <= 0.05 + 1e-12
 
-    def test_invalid_grid_rejected(self):
+    def test_invalid_drive_rejected(self):
         with pytest.raises(InvalidParams):
-            sweep_drive(drive_family(0.0), [-1.0])
+            drive_point_branches(drive_family(0.0), -1.0)
         with pytest.raises(InvalidParams):
-            sweep_drive(drive_family(0.0), [float("nan")])
-
-    def test_non_numeric_grid_entry_rejected(self):
-        # the entry is checked before anything converts it with float()
-        with pytest.raises(InvalidParams):
-            sweep_drive(drive_family(0.0), [0.5, "abc"])
-
-    @pytest.mark.parametrize("grid", [5, 2.5, None])
-    def test_non_iterable_grid_rejected(self, grid):
-        with pytest.raises(InvalidParams, match="omega grid must be an iterable"):
-            bistable_window(drive_family(0.0), grid)
-        with pytest.raises(InvalidParams, match="omega grid must be an iterable"):
-            sweep_drive(drive_family(0.0), grid)
+            drive_point_branches(drive_family(0.0), float("nan"))
 
     @pytest.mark.parametrize("omega", [True, "2.0"])
     def test_non_numeric_drive_rejected(self, omega):

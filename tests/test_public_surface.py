@@ -17,10 +17,7 @@ PACKAGE = pathlib.Path(kerrsteady.__file__).resolve().parent
 
 # public names with no caller in the package, and why each stays
 KEPT = {
-    "bistable_window": "ROADMAP item 12: the window of items 5 and 6",
-    "photon_number_twophoton": "ROADMAP item 12",
-    "resonance_predictions": "ROADMAP item 12: acceptance criterion 3 and item 9",
-    "resonance_scan": "ROADMAP item 12: the library form of the command",
+    "resonance_predictions": "ROADMAP item 9: resonance_peaks takes its allowed orders",
     "build_generalized_hamiltonian_pm": "perfbench/workloads.py imports it; item 10 waits on item 7",
     "convert_basis": "perfbench/workloads.py imports it; item 10 waits on item 7",
     "wavefunction_via_three_term": "perfbench/workloads.py imports it; item 10 waits on item 7",
