@@ -15,6 +15,7 @@ from hypothesis import example, given
 from hypothesis import strategies as st
 
 from kerrsteady import exact_twophoton
+from kerrsteady.cli import main
 from kerrsteady.errors import CrossCheckFailure, InvalidParams, UnsupportedModel
 from kerrsteady.exact_linear import correlation_linear, wavefunction_linear
 from kerrsteady.exact_twophoton import (
@@ -285,3 +286,36 @@ class TestResonanceBookkeeping:
         assert strict_local_maxima([0.0, 1.0, 1.0, 0.0]) == ()
         assert strict_local_maxima([3.0, 2.0, 1.0]) == ()
         assert strict_local_maxima([0.0, 1.0, 0.5, 2.0, 0.0]) == (1, 3)
+
+    def test_scan_grid_keeps_its_values(self, capsys, twophoton_params):
+        # each resonance-scan row is scan_point at from + i * step, to the last bit
+        p = twophoton_params
+        assert p.chi == 1.0  # the printed delta_c / chi is then the detuning itself
+        code = main(["resonance-scan", "--chi", "1", "--gamma", repr(p.gamma),
+                     "--omega", repr(p.omega), "--lambda2", repr(p.lambda_2ph.real),
+                     "--kappa", repr(p.kappa),
+                     "--delta-from", "-1.3", "--delta-to", "-0.7", "--delta-step", "0.1"])
+        assert code == 0
+        rows = [line.split(",") for line in capsys.readouterr().out.splitlines()[2:]]
+        assert [float(d) for d, *_ in rows] == [-1.3 + i * 0.1 for i in range(7)]
+        for d, n, g2, _ in rows:
+            assert (float(n), float(g2)) == scan_point(p, float(d))
+
+    @pytest.mark.parametrize("stop,why", [
+        ("abc", "argument --delta-to: invalid float value: 'abc'"),
+        ("nan", "error: detuning grid bounds must be finite"),
+        ("inf", "error: detuning grid bounds must be finite"),
+    ], ids=["str", "nan", "inf"])
+    def test_scan_rejects_malformed_grid(self, capsys, stop, why):
+        # a bound that is not a finite float stops the scan before any point is solved
+        argv = ["resonance-scan", "--chi", "1", "--gamma", "0.1", "--omega", "0.1",
+                "--lambda2", "0.2", "--kappa", "0.1",
+                "--delta-from", "-1", "--delta-to", stop, "--delta-step", "0.1"]
+        try:
+            code = main(argv)
+        except SystemExit as exc:  # argparse refuses a bound that is not a float
+            code = exc.code
+        out, err = capsys.readouterr()
+        assert code == 2
+        assert out == ""
+        assert why in err

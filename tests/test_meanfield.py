@@ -333,6 +333,37 @@ class TestSweep:
         assert abs(min(three) - min(folds)) <= 0.05 + 1e-12
         assert abs(max(three) - max(folds)) <= 0.05 + 1e-12
 
+    def test_statelessness_under_concatenation(self, capsys):
+        # a point's rows depend on its drive alone, not on the grid around it
+        def table(start, stop):
+            assert main(["meanfield-sweep", "--delta-c", "5", "--chi", "-0.25", "--gamma", "1",
+                         "--omega-from", start, "--omega-to", stop, "--omega-step", "0.5"]) == 0
+            return capsys.readouterr().out.splitlines()[2:]
+
+        joint = table("0.5", "7")
+        split = table("0.5", "3.5") + table("4", "7")
+        assert len({line.split(",")[0] for line in joint}) == 14
+        assert joint == split
+
+    @pytest.mark.parametrize("bound", ["nan", "inf"])
+    def test_invalid_grid_rejected(self, capsys, bound):
+        code = main(["meanfield-sweep", "--delta-c", "5", "--chi", "-0.25", "--gamma", "1",
+                     "--omega-from", "0", "--omega-to", bound, "--omega-step", "0.5"])
+        out, err = capsys.readouterr()
+        assert code == 2
+        assert out == ""
+        assert err == "error: omega grid bounds must be finite\n"
+
+    def test_non_numeric_grid_entry_rejected(self, capsys):
+        # argparse refuses the bound before any point is solved
+        with pytest.raises(SystemExit) as exc:
+            main(["meanfield-sweep", "--delta-c", "5", "--chi", "-0.25", "--gamma", "1",
+                  "--omega-from", "0", "--omega-to", "abc", "--omega-step", "0.5"])
+        out, err = capsys.readouterr()
+        assert exc.value.code == 2
+        assert out == ""
+        assert "--omega-to: invalid float value: 'abc'" in err
+
     def test_invalid_drive_rejected(self):
         with pytest.raises(InvalidParams):
             drive_point_branches(drive_family(0.0), -1.0)
