@@ -37,11 +37,11 @@ from .errors import (
 )
 from .model import (ModelParams, _at_drive, _check_fock_size, _check_moment_orders,
                     _require_coherent_drive, derive_linear)
-from .specfun import _POLE_GUARD, _conjugate_hyp0f2, hyp0f2_ratio, pochhammer
+from .specfun import (_POLE_GUARD, _TAIL_TOL, _conjugate_hyp0f2, _tail_run, hyp0f2_ratio,
+                      pochhammer)
 
+# squared amplitudes in a row at most _TAIL_TOL of the sum that end a ladder
 _TAIL_RUN = 3
-# relative squared-amplitude level below which a run of levels counts as tail
-_TAIL_TOL = 1e-16
 _NORM_XCHECK_TOL = 1e-8
 _MOMENT_XCHECK_TOL = 1e-9
 # adaptive amplitude ladders give up past this Fock index
@@ -96,14 +96,6 @@ class CorrelationResult:
     truncation: int
 
 
-def _tail_rule_fired(weights: list[float], total: float, tail_tol: float) -> bool:
-    """True when the trailing run of squared amplitudes is negligible."""
-    # the newest weight is tested first: it rules out almost every level
-    if weights[-1] > tail_tol * total or len(weights) < _TAIL_RUN + 1:
-        return False
-    return all(w <= tail_tol * total for w in weights[-_TAIL_RUN:])
-
-
 def _ladder(
     step: Callable[[int, list[complex]], complex],
     tail_tol: float,
@@ -119,16 +111,16 @@ def _ladder(
     with a fixed truncation it computes exactly that many levels and
     reports whether the rule held there.  Either way, a squared-amplitude
     sum past the double range raises NonConvergence naming the Fock index
-    where it ran out.  Every amplitude ladder stops by this rule, but the
-    0F2 series in specfun.hyp0f2_ratio and specfun._conjugate_hyp0f2 each
-    stop by their own five-term run rule, so a proven tail bound must
-    replace the run rule in those two places as well as here.
+    where it ran out.  The rule is specfun._tail_run, the predicate the 0F2
+    series stop by as well: _TAIL_RUN squared amplitudes in a row, each at
+    most tail_tol of the sum so far.  A proven tail bound would replace
+    that predicate.
     """
     if truncation is not None:
         truncation = _check_fock_size("truncation", truncation, 0)
     betas = [complex(1.0)]
-    weights = [1.0]
     total = 1.0
+    run = 0
     limit = max_truncation if truncation is None else truncation
     for m in range(1, limit + 1):
         betas.append(step(m, betas))
@@ -136,17 +128,17 @@ def _ladder(
             w = abs(betas[-1]) ** 2
         except OverflowError:
             w = math.inf
-        weights.append(w)
         total += w
         if not total < math.inf:  # nan too
             raise NonConvergence(f"amplitude weight leaves the double range at Fock index {m}")
-        if truncation is None and _tail_rule_fired(weights, total, tail_tol):
+        run = _tail_run(run, w, total, tail_tol)
+        if truncation is None and run >= _TAIL_RUN:
             return betas, True
     if truncation is None:
         raise NonConvergence(
             f"amplitude tail not negligible by Fock index {max_truncation}"
         )
-    return betas, _tail_rule_fired(weights, total, tail_tol)
+    return betas, run >= _TAIL_RUN
 
 
 def _drive_argument(epsilon: complex) -> float:
@@ -200,6 +192,13 @@ def _package(betas: list[complex], converged: bool) -> SteadyWavefunction:
         tail_mass=float(abs(amps[-1]) ** 2 / norm),
         converged=converged,
     )
+
+
+def _cutoff_too_small(truncation: int, norm: float, reference: str) -> CutoffTooSmall:
+    """The refusal of a fixed truncation, short of the tail rule, whose squared sum misses."""
+    return CutoffTooSmall(
+        f"truncation {truncation} is too small for this state: its amplitudes have not "
+        f"died out there, and their squared sum {norm!r} misses {reference}")
 
 
 def _release_moment(
@@ -259,12 +258,8 @@ def wavefunction_linear(params: ModelParams, truncation: int | None = None) -> S
     norm_hyper = _conjugate_hyp0f2(derived.x, _drive_argument(derived.epsilon))
     if not math.isclose(norm_series, norm_hyper, rel_tol=_NORM_XCHECK_TOL):
         if truncation is not None and not wf.converged:
-            raise CutoffTooSmall(
-                f"truncation {truncation} is too small for this state: its "
-                f"amplitudes have not died out there, and their squared sum "
-                f"{norm_series!r} misses the hypergeometric normalization "
-                f"{norm_hyper!r}"
-            )
+            raise _cutoff_too_small(
+                truncation, norm_series, f"the hypergeometric normalization {norm_hyper!r}")
         raise CrossCheckFailure(
             "normalization mismatch between amplitude sum "
             f"{norm_series!r} and hypergeometric value {norm_hyper!r}"

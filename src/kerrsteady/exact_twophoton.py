@@ -36,9 +36,10 @@ import numpy as np
 from .errors import CrossCheckFailure, NonConvergence
 from .exact_linear import (
     _MAX_TRUNCATION,
-    _TAIL_TOL,
+    _NORM_XCHECK_TOL,
     CorrelationResult,
     SteadyWavefunction,
+    _cutoff_too_small,
     _g2,
     _ladder,
     _package,
@@ -50,7 +51,7 @@ from .exact_linear import (
 )
 from .model import (ModelParams, _check_fock_size, _check_moment_orders,
                     _require_pump_with_loss, derive_twophoton)
-from .specfun import _gauss_sums
+from .specfun import _TAIL_TOL, _gauss_sums
 
 # the cross-check covers the whole amplitude support: up to the truncation cap
 _XCHECK_MAX_INDEX = _MAX_TRUNCATION
@@ -117,13 +118,20 @@ def wavefunction_twophoton(params: ModelParams, truncation: int | None = None) -
     both absent; refuses two-photon loss without a pump, which has no
     closed form in this family.  Arguments mirror wavefunction_linear.
     Every amplitude is checked against the three-term recursion on every
-    call.
+    call.  A fixed truncation that ends before the tail rule holds, and
+    whose squared sum misses the adaptive build's by more than 1e-8
+    relative, raises CutoffTooSmall, as in wavefunction_linear.
     """
     if not params.is_two_photon:
         return wavefunction_linear(params, truncation=truncation)
     betas, converged = _closed_form_amplitudes(params, truncation)
     _spot_check_against_recursion(params, betas)
-    return _package(betas, converged)
+    wf = _package(betas, converged)
+    if truncation is not None and not converged:
+        full = _package(*_closed_form_amplitudes(params, None)).norm_constant
+        if not math.isclose(wf.norm_constant, full, rel_tol=_NORM_XCHECK_TOL):
+            raise _cutoff_too_small(truncation, wf.norm_constant, f"the adaptive build's {full!r}")
+    return wf
 
 
 def wavefunction_via_three_term(

@@ -14,6 +14,10 @@ wavefunction of the two-photon model, which needs every order of one
 (y, z); the private generator _gauss_sums walks them.  The 0F2 series
 are summed directly; the Gauss sum is not, since at argument 2 its
 terms cancel like 3^m.
+
+Both 0F2 series, and exact_linear's amplitude ladder, stop through one
+predicate, _tail_run: a run of terms, each at most _TAIL_TOL of the
+partial sum, ends the sum (five terms here, three ladder levels).
 """
 
 from __future__ import annotations
@@ -26,8 +30,9 @@ from .errors import DenominatorPole, NonConvergence
 from .model import _check_fock_size, _finite_complex
 
 _POLE_GUARD = 1e-12
-_SERIES_TOL = 1e-16
+_TAIL_TOL = 1e-16
 _SERIES_CAP = 100_000
+# not three as for the ladder: that moves 25 of 1,603 bistable exact-sweep rows
 _CONSECUTIVE_SMALL = 5
 _UNDERFLOW_FLOOR = 1e-300
 _EPS = 2.0**-52
@@ -64,13 +69,18 @@ def pochhammer(x: complex, m: int) -> complex:
     return acc
 
 
+def _tail_run(run: int, term: float, total: float, tol: float) -> int:
+    """The run of negligible terms after one more: run + 1 if term <= tol * total, else 0."""
+    return run + 1 if term <= tol * total else 0
+
+
 def _conjugate_hyp0f2(x: complex, w: float) -> float:
     """0F2(; conj(x), x; w) for real w >= 0, the coherent-drive norm.
 
     Its terms w^m / (m! |(x)_m|^2) are real and positive, with ratio
     w / (m |x + m - 1|^2), so the sum runs in plain floats.  It stops by
-    hyp0f2_ratio's rule: five terms in a row below 1e-16 of the partial
-    sum, with a hard cap of 1e5 terms.
+    hyp0f2_ratio's rule: five terms in a row at most 1e-16 of the partial
+    sum (_tail_run), with a hard cap of 1e5 terms.
 
     Raises
     ------
@@ -90,12 +100,9 @@ def _conjugate_hyp0f2(x: complex, w: float) -> float:
         total += term
         if not total < math.inf:  # nan too
             raise NonConvergence("0F2 norm partial sum leaves the double range")
-        if term / total < _SERIES_TOL:
-            small_run += 1
-            if small_run >= _CONSECUTIVE_SMALL:
-                return total
-        else:
-            small_run = 0
+        small_run = _tail_run(small_run, term, total, _TAIL_TOL)
+        if small_run >= _CONSECUTIVE_SMALL:
+            return total
     raise NonConvergence(f"0F2 norm did not converge within {_SERIES_CAP} terms")
 
 
@@ -124,19 +131,18 @@ def hyp0f2_ratio(
         td = td * z / dd
         num += tn
         den += td
-        scale = max(abs(num), abs(den), abs(tn), abs(td))
+        a_num, a_den, a_tn, a_td = abs(num), abs(den), abs(tn), abs(td)
+        scale = max(a_num, a_den, a_tn, a_td)
         if scale > 1e250:
             num /= scale
             den /= scale
             tn /= scale
             td /= scale
-        rel = max(abs(tn), abs(td)) / max(abs(num), abs(den), _UNDERFLOW_FLOOR)
-        if rel < _SERIES_TOL:
-            small_run += 1
-            if small_run >= _CONSECUTIVE_SMALL:
-                break
-        else:
-            small_run = 0
+            a_num, a_den, a_tn, a_td = abs(num), abs(den), abs(tn), abs(td)
+        small_run = _tail_run(small_run, max(a_tn, a_td),
+                              max(a_num, a_den, _UNDERFLOW_FLOOR), _TAIL_TOL)
+        if small_run >= _CONSECUTIVE_SMALL:
+            break
     else:
         raise NonConvergence(f"hyp0f2_ratio did not converge within {_SERIES_CAP} terms")
     if abs(den) < _UNDERFLOW_FLOOR:
@@ -211,6 +217,14 @@ def _difference_form(
     return 0.5 * (abs(dp) * mass_y + abs(p_w) * mass_du), value
 
 
+def _form(form, *args) -> tuple[float, complex]:
+    """form(*args), or infinite mass, as a skipped form has, where a modulus overflows."""
+    try:
+        return form(*args)
+    except OverflowError:  # abs() of a finite complex whose modulus passes the double range
+        return math.inf, 0j
+
+
 def _least_mass(forms: list[tuple[float, complex]]) -> tuple[float, complex]:
     """The form of smallest finite mass; forms tied on it are averaged.
 
@@ -221,9 +235,9 @@ def _least_mass(forms: list[tuple[float, complex]]) -> tuple[float, complex]:
     for mass, _ in forms:
         if mass < best:
             best = mass
-    tied = [value for mass, value in forms if mass == best]
-    if not tied:
+    if best == math.inf:
         return math.inf, complex(math.nan, math.nan)
+    tied = [value for mass, value in forms if mass == best]
     return best, sum(tied[1:], tied[0]) / len(tied)
 
 
@@ -248,10 +262,11 @@ def _gauss_sums(y: complex, z: complex, asym: complex | None = None) -> Iterator
     least mass, averaged with any form of exactly equal mass, which
     keeps it exactly symmetric under y <-> w.  The connection forms are
     summed first; only if (m+1) * eps * mass exceeds 1e-13 of the value
-    are the others summed too.  A connection form whose lower parameter
-    comes within the pole guard of zero is skipped; so at y = z with z
-    that close to one of 0, -1, ..., 1 - m both are, and the Pfaff
-    partner 2F1(-m, 0; z; 2) = 1 gives the value.  The tests hold every
+    are the others summed too.  A form with a term whose modulus passes
+    the double range is skipped: it gets infinite mass.  So is a
+    connection form whose lower parameter comes within the pole guard of
+    zero; so at y = z with z that close to one of 0, -1, ..., 1 - m both
+    are, and the Pfaff partner 2F1(-m, 0; z; 2) = 1 gives the value.  The tests hold every
     value within 2 (m+1) eps times the least mass of the first four
     forms of a 60-digit reference.
 
@@ -291,21 +306,27 @@ def _gauss_sums(y: complex, z: complex, asym: complex | None = None) -> Iterator
             yield 0j
         else:
             sign = -1.0 if m % 2 else 1.0
-            forms = [_connection_form(m, y_j, k_w, w, ratio_w)]
-            mass, value = _connection_form(m, w_j, k_y, y, ratio_y)
+            forms = [_form(_connection_form, m, y_j, k_w, w, ratio_w)]
+            mass, value = _form(_connection_form, m, w_j, k_y, y, ratio_y)
             forms.append((mass, sign * value))
             mass, value = _least_mass(forms)
-            if not mass * (m + 1) * _EPS <= _FALLBACK_TOL * abs(value):
-                forms.append(_argument_two_form(m, y, z))
-                mass, value = _argument_two_form(m, w, z)
+            # no abs() at infinite mass: CPython's abs() of a nan complex raises
+            # OverflowError while errno holds the ERANGE of an overflow _form caught
+            if mass == math.inf or not mass * (m + 1) * _EPS <= _FALLBACK_TOL * abs(value):
+                forms.append(_form(_argument_two_form, m, y, z))
+                mass, value = _form(_argument_two_form, m, w, z)
                 forms.append((mass, sign * value))
                 if m % 2:
-                    forms.append(_difference_form(m, y, w, z, d))
+                    forms.append(_form(_difference_form, m, y, w, z, d))
                 mass, value = _least_mass(forms)
             yield value
         zm = z + m
         poch_z *= zm
-        if abs(poch_z) < _UNDERFLOW_FLOOR:
+        try:
+            vanished = abs(poch_z) < _UNDERFLOW_FLOOR
+        except OverflowError:  # past the double range: far from vanishing
+            vanished = False
+        if vanished:
             raise DenominatorPole(
                 f"Gauss sum 2F1(-{m + 1}, y; z; 2): (z)_{m + 1} vanished or underflowed "
                 f"for z={z!r}"

@@ -65,6 +65,18 @@ OVERFLOW_CASES = {
          "--omega-from", "1e100", "--omega-to", "1e100", "--omega-step", "1"],
         "the mean-field cubic leaves the double range"),
 }
+# The Gauss-sum walk's (z)_m leaves the double range before amplitude 76,
+# which the closed form then gets wrong.  The scalar-loop references of
+# loop_references.py raise OverflowError here, so only the shipped walk runs.
+WALK_OVERFLOW_CASES = {
+    "resonance-scan-pochhammer": (
+        ["resonance-scan", "--chi", "-0.006784275261714434", "--gamma", "0.2370538519626042",
+         "--omega", "0.00024549076653519286", "--lambda2", "1.4867076425106687",
+         "--lambda2-im", "0.29838164714849136", "--kappa", "0.005751176044218105",
+         "--delta-from", "3.9150705581924186", "--delta-to", "3.9150705581924186",
+         "--delta-step", "1"],
+        "amplitude 76 disagrees between closed form"),
+}
 GOLDEN_RESIDUAL = json.loads((DATA_DIR / "golden_residual.json").read_text())["cases"]
 
 
@@ -179,6 +191,26 @@ class TestHappyPaths:
         for row in rows:
             wf = wavefunction_via_three_term(base.replace(delta_c=float(row[0])))
             assert float(row[1]) == pytest.approx(amplitude_moment(wf, 1, 1).real, rel=1e-12)
+
+    def test_resonance_scan_past_an_overflowing_direct_sum(self, tmp_path):
+        # terms of the direct argument-2 sum pass the double range at high
+        # orders; that form is set aside and the point releases the
+        # recursion's <n> over all 707 levels
+        args = ["resonance-scan", "--chi", "-0.015275899991637587",
+                "--gamma", "0.06681322817388803", "--omega", "4.234191949842081e-05",
+                "--lambda2", "4.1431172599413255", "--lambda2-im", "1.1112467893763691",
+                "--delta-from", "4.203067144811342", "--delta-to", "4.203067144811342",
+                "--delta-step", "1"]
+        code, target = run_to_file(tmp_path, args)
+        assert code == 0
+        rows = [line.split(",") for line in target.read_text().splitlines()[2:]]
+        assert len(rows) == 1
+        wf = wavefunction_via_three_term(params_from_dict({
+            "delta_c": 4.203067144811342, "chi": -0.015275899991637587,
+            "gamma": 0.06681322817388803, "omega": 4.234191949842081e-05,
+            "lambda_re": 4.1431172599413255, "lambda_im": 1.1112467893763691}))
+        assert wf.truncation == 707
+        assert float(rows[0][1]) == pytest.approx(amplitude_moment(wf, 1, 1).real, rel=1e-12)
 
     def test_residual_reaches_deep_state(self, tmp_path):
         # The deep family at omega=16 peaks near m = 138, so its
@@ -596,15 +628,21 @@ class TestDomainErrors:
         assert not target.exists()
         assert ">= 0" in capsys.readouterr().err
 
-    def test_cutoff_below_state_exits_one(self, tmp_path, capsys):
+    @pytest.mark.parametrize("model, cutoff, interior", [
+        (["--delta-c", "5", "--chi", "-0.05", "--gamma", "1", "--omega", "16"], 120, 110),
+        # needs 15 levels; 6 miss 6.3e-8 of the adaptive build's squared sum
+        (["--delta-c", "-1", "--chi", "1", "--gamma", "0.1", "--omega", "0.1",
+          "--lambda2", "0.2", "--kappa", "0.1"], 6, 5),
+    ], ids=["coherent", "two-photon"])
+    def test_cutoff_below_state_exits_one(self, tmp_path, capsys, model, cutoff, interior):
         target = tmp_path / "never.json"
-        code = main(["residual", "--delta-c", "5", "--chi", "-0.05", "--gamma", "1",
-                     "--omega", "16", "--cutoff-cl", "120", "--cutoff-q", "4",
-                     "--interior", "110", "-o", str(target)])
+        code = main(["residual"] + model + ["--cutoff-cl", str(cutoff), "--cutoff-q", "4",
+                                            "--interior", str(interior), "-o", str(target)])
         assert code == 1
         assert not target.exists()
         err = capsys.readouterr().err
-        assert err.startswith("error: truncation 120 is too small")
+        assert err.startswith(f"error: truncation {cutoff} is too small")
+        assert err.count("\n") == 1
 
     @pytest.mark.parametrize(
         "args, rule",
@@ -627,8 +665,9 @@ class TestDomainErrors:
         assert rule in err
         assert "derive_" not in err
 
-    @pytest.mark.parametrize("args, where", list(OVERFLOW_CASES.values()),
-                             ids=list(OVERFLOW_CASES))
+    @pytest.mark.parametrize("args, where",
+                             list(OVERFLOW_CASES.values()) + list(WALK_OVERFLOW_CASES.values()),
+                             ids=list(OVERFLOW_CASES) + list(WALK_OVERFLOW_CASES))
     def test_overflow_exits_one_with_one_error_line(self, capsys, args, where):
         # past the double range a command refuses; it never prints nan rows
         assert main(args) == 1

@@ -138,6 +138,40 @@ class TestWavefunction:
         assert wf.amplitudes[0] != 0j
 
 
+class TestTailRule:
+    """The ladder's stop, decided by specfun._tail_run, on a synthetic step.
+
+    After beta_0 = 1 the squared amplitudes are 1, 4, 4, 2.25, 12.25 and
+    then 10^4, all exact in binary.  At tail_tol 0.5 a level is small when
+    its weight is at most the sum of the levels below it: levels 1 and 5
+    sit exactly there, level 2 rises above it.
+    """
+
+    BETAS = [1.0, 2.0, 2.0, 1.5, 3.5, 100.0]
+
+    def climb(self, truncation):
+        return exact_linear._ladder(
+            lambda m, betas: complex(self.BETAS[m - 1]), 0.5, len(self.BETAS), truncation)
+
+    def test_fires_at_the_third_small_level_after_a_rise(self, monkeypatch):
+        runs, tail_run = [], exact_linear._tail_run
+
+        def recording(*args):
+            runs.append(tail_run(*args))
+            return runs[-1]
+
+        monkeypatch.setattr(exact_linear, "_tail_run", recording)
+        betas, converged = self.climb(None)
+        assert converged and len(betas) == 6
+        assert runs == [1, 0, 1, 2, 3]
+
+    @pytest.mark.parametrize("truncation, converged", [(4, False), (5, True), (6, False)])
+    def test_fixed_truncation_reports_the_run_at_its_end(self, truncation, converged):
+        betas, flag = self.climb(truncation)
+        assert len(betas) == truncation + 1
+        assert flag is converged
+
+
 class TestNormCheckRefusals:
     """Each way the amplitude sum and the 0F2 norm can fail to agree, refused by class."""
 

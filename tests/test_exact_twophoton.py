@@ -16,7 +16,7 @@ from hypothesis import strategies as st
 
 from kerrsteady import exact_twophoton
 from kerrsteady.cli import main
-from kerrsteady.errors import CrossCheckFailure, InvalidParams, UnsupportedModel
+from kerrsteady.errors import CrossCheckFailure, CutoffTooSmall, InvalidParams, UnsupportedModel
 from kerrsteady.exact_linear import correlation_linear, wavefunction_linear
 from kerrsteady.exact_twophoton import (
     correlation_twophoton,
@@ -157,6 +157,13 @@ class TestWavefunctionRoutes:
             direct = (-d.lambda_disp) ** m * gauss_sum(m, d.y, d.z)
             flipped = d.lambda_disp**m * gauss_sum(m, d.z - d.y, d.z)
             assert flipped == pytest.approx(direct, rel=1e-9, abs=1e-20)
+
+    def test_short_fixed_truncation_refused_as_in_linear(self, twophoton_params):
+        # the state needs 15 levels: 6 miss 6.3e-8 of the adaptive build's
+        # squared sum, over the 1e-8 tolerance; 8 miss 5.3e-11, under it
+        with pytest.raises(CutoffTooSmall, match="truncation 6 .* adaptive build's"):
+            wavefunction_twophoton(twophoton_params, truncation=6)
+        assert not wavefunction_twophoton(twophoton_params, truncation=8).converged
 
     def test_delegates_to_linear_without_pump_or_loss(self, bistable_params):
         via_two = wavefunction_twophoton(bistable_params)

@@ -15,7 +15,9 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from kerrsteady.errors import DenominatorPole, InvalidParams, KerrSteadyError, NonConvergence
-from kerrsteady.specfun import _conjugate_hyp0f2, _gauss_sums, hyp0f2_ratio, pochhammer
+from kerrsteady import specfun
+from kerrsteady.specfun import (_CONSECUTIVE_SMALL, _TAIL_TOL, _conjugate_hyp0f2, _gauss_sums,
+                                _tail_run, hyp0f2_ratio, pochhammer)
 
 from conftest import DATA_DIR, as_complex, gauss_sum
 
@@ -142,6 +144,32 @@ class TestHyp0F2:
         direct = _conjugate_hyp0f2(x + 1, 512.0) / _conjugate_hyp0f2(x, 512.0)
         joint = hyp0f2_ratio(x.conjugate() + 1, x + 1, x.conjugate(), x, 512.0)
         assert joint == pytest.approx(direct, rel=1e-12)
+
+
+class TestTailRun:
+    """The one predicate every series and the amplitude ladder stop by."""
+
+    def test_counts_a_term_at_the_threshold_and_resets_above_it(self):
+        assert _tail_run(2, 1.0, 4.0, 0.25) == 3
+        assert _tail_run(2, math.nextafter(1.0, 2.0), 4.0, 0.25) == 0
+        assert _tail_run(0, 0.0, 1.0, 0.0) == 1
+
+    @pytest.mark.parametrize("series", [
+        lambda: _conjugate_hyp0f2(2.0 - 0.5j, 0.0),
+        lambda: hyp0f2_ratio(1.5, 2.5, 0.5j, 3.0, 0.0),
+    ], ids=["norm", "ratio"])
+    def test_series_stop_at_the_fifth_small_term(self, monkeypatch, series):
+        # at z = 0 every term after the first is zero, so each one is small
+        runs = []
+
+        def recording(run, term, total, tol):
+            assert tol == _TAIL_TOL
+            runs.append(_tail_run(run, term, total, tol))
+            return runs[-1]
+
+        monkeypatch.setattr(specfun, "_tail_run", recording)
+        assert series() == 1.0
+        assert runs == [1, 2, 3, 4, 5] and _CONSECUTIVE_SMALL == 5
 
 
 class TestGaussSums:
