@@ -2,14 +2,18 @@
 
 The steady state is the quantum-mode vacuum of the doubled-space
 generator (keldysh_ops), whose raising part maps q=0 into q=1 through a
-band: bidiagonal for the coherent drive, tridiagonal with the two-photon
-pump.  Forward substitution through that band is the package's one
-amplitude recursion, _recursion_amplitudes, defined here; exact_twophoton
-imports it and prints its three-term form.  For the coherent drive, with
-the reduced drive ``epsilon`` and detuning-loss ratio ``x`` (see
-model.derive_linear), it is
+band.  model.band gives its coefficients (c0, c1, d, p), and forward
+substitution through it is the package's one amplitude recursion,
+_recursion_amplitudes, defined here:
 
-    beta_m = sqrt(2/m) * epsilon / (x + m - 1) * beta_{m-1},    beta_0 = 1,
+    sqrt(m) [c0 + c1 (m - 1)] beta_m = d beta_{m-1} - p sqrt(m - 1) beta_{m-2},
+
+with beta_0 = 1.  The band is bidiagonal for the coherent drive (p = 0)
+and tridiagonal with the two-photon pump; exact_twophoton imports the
+recursion.  For the coherent drive, with the reduced drive ``epsilon``
+and x = c0 / c1 (see model.derive_linear), it reads
+
+    beta_m = sqrt(2/m) * epsilon / (x + m - 1) * beta_{m-1},
 
 whose closed form is beta_m = (sqrt(2) epsilon)^m / (sqrt(m!) (x)_m) with
 (x)_m the rising factorial.  The squared-amplitude sum equals the
@@ -36,7 +40,7 @@ from .errors import (
     NonConvergence,
 )
 from .model import (ModelParams, _at_drive, _check_fock_size, _check_moment_orders,
-                    _require_coherent_drive, derive_linear)
+                    _require_coherent_drive, band, derive_linear)
 from .specfun import (_POLE_GUARD, _TAIL_TOL, _conjugate_hyp0f2, _tail_run, hyp0f2_ratio,
                       pochhammer)
 
@@ -159,15 +163,13 @@ def _recursion_amplitudes(
     max_truncation: int,
     truncation: int | None,
 ) -> tuple[list[complex], bool]:
-    """Unnormalized amplitudes by forward substitution through the generator's band."""
-    drive = -2j * math.sqrt(2.0) * params.omega
-    diag0 = 2.0 * params.delta_c - 1j * params.gamma
-    diag1 = 2.0 * params.chi - 1j * params.kappa
-    pump = 2.0 * params.lambda_2ph
-    scale0, scale1 = abs(diag0), abs(diag1)
+    """Unnormalized amplitudes by forward substitution through model.band."""
+    b = band(params)
+    c0, c1, drive, pump = b.c0, b.c1, b.d, b.p
+    scale0, scale1 = abs(c0), abs(c1)
 
     def step(m: int, betas: list[complex]) -> complex:
-        coeff = diag0 + diag1 * (m - 1)
+        coeff = c0 + c1 * (m - 1)
         if abs(coeff) < _POLE_GUARD * (scale0 + scale1 * m):
             raise DenominatorPole(
                 f"three-term recursion coefficient vanishes at index {m}"
@@ -360,9 +362,17 @@ class ExactSweepRow:
     g2: float
 
 
+def _drive_point(
+    params: ModelParams, omega: float, orders
+) -> tuple[ExactSweepRow, list[CorrelationResult]]:
+    """exact_drive_point's row and the moments (l, k) in orders, all from one build."""
+    at_om = _at_drive(params, omega)
+    number, field, pair, *extra = _linear_moments(at_om, [(1, 1), (0, 1), (2, 2), *orders])
+    n = _real_photon_number(number)
+    row = ExactSweepRow(omega=at_om.omega, n=n, amplitude=field.value, g2=_g2(pair.value.real, n))
+    return row, extra
+
+
 def exact_drive_point(params: ModelParams, omega: float) -> ExactSweepRow:
     """<a^dag a>, <a>, and g2 = <a^dag^2 a^2> / <a^dag a>^2, all from one build."""
-    at_om = _at_drive(params, omega)
-    number, field, pair = _linear_moments(at_om, [(1, 1), (0, 1), (2, 2)])
-    n = _real_photon_number(number)
-    return ExactSweepRow(omega=at_om.omega, n=n, amplitude=field.value, g2=_g2(pair.value.real, n))
+    return _drive_point(params, omega, [])[0]

@@ -1,20 +1,14 @@
 """Closed-form steady state with a two-photon pump and two-photon loss.
 
-After displacing by the pump-induced scale (model.derive_twophoton), the
-steady-state amplitude at Fock index m is a terminating Gauss
-hypergeometric polynomial,
+After displacing by the pump-induced scale (model.derive_twophoton, which
+reads model.band), the steady-state amplitude at Fock index m is a
+terminating Gauss hypergeometric polynomial,
 
     beta_m = (-lambda_disp)^m / sqrt(m!) * 2F1(-m, y; z; 2),
 
-which is the production route here.  The same amplitudes obey the
-three-term recursion of exact_linear, the package's one amplitude
-recursion: forward substitution through the doubled-space generator's
-q=0 -> q=1 band, which is tridiagonal with the pump,
-
-    [(2 delta_c - i gamma) + (2 chi - i kappa)(m - 1)] sqrt(m) beta_m
-        = -2i sqrt(2) omega beta_{m-1} - 2 lambda_2ph sqrt(m-1) beta_{m-2},
-
-with beta_0 = 1.  It is exposed as a separate operation
+which is the production route here.  The same amplitudes obey
+exact_linear's recursion through model.band, which is tridiagonal with
+the pump.  It is exposed as a separate operation
 (wavefunction_via_three_term) so the two routes can be compared
 elementwise, and every production call verifies all its amplitudes
 against it before releasing values.
@@ -33,7 +27,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import CrossCheckFailure, NonConvergence
+from .errors import CrossCheckFailure, KerrSteadyError, NonConvergence
 from .exact_linear import (
     _MAX_TRUNCATION,
     _NORM_XCHECK_TOL,
@@ -51,7 +45,7 @@ from .exact_linear import (
 )
 from .model import (ModelParams, _check_fock_size, _check_moment_orders,
                     _require_pump_with_loss, derive_twophoton)
-from .specfun import _TAIL_TOL, _gauss_sums
+from .specfun import _EPS, _TAIL_TOL, _gauss_sum_walk, _gauss_sums
 
 # the cross-check covers the whole amplitude support: up to the truncation cap
 _XCHECK_MAX_INDEX = _MAX_TRUNCATION
@@ -111,6 +105,27 @@ def _spot_check_against_recursion(params: ModelParams, betas: list[complex]) -> 
             )
 
 
+def _lost_order(params: ModelParams) -> tuple[int, int] | None:
+    """The first Gauss-sum order that holds no correct digit, and the recursion's truncation.
+
+    An order holds no correct digit once (m+1) eps times its least mass
+    passes its modulus (specfun._gauss_sum_walk).  None unless such an
+    order lies within the truncation at which the three-term recursion
+    solves the point.
+    """
+    try:
+        top = len(_recursion_amplitudes(params, _TAIL_TOL, _MAX_TRUNCATION, None)[0]) - 1
+        derived = derive_twophoton(params)
+        walk = _gauss_sum_walk(derived.y, derived.z, derived.asym)
+        for m, (mass, value) in enumerate(itertools.islice(walk, top + 1)):
+            # no abs() at infinite mass: the value is nan there
+            if mass == math.inf or (m + 1) * _EPS * mass > abs(value):
+                return m, top
+    except KerrSteadyError:
+        pass
+    return None
+
+
 def wavefunction_twophoton(params: ModelParams, truncation: int | None = None) -> SteadyWavefunction:
     """Steady-state amplitude sequence from the polynomial closed form.
 
@@ -120,12 +135,25 @@ def wavefunction_twophoton(params: ModelParams, truncation: int | None = None) -
     Every amplitude is checked against the three-term recursion on every
     call.  A fixed truncation that ends before the tail rule holds, and
     whose squared sum misses the adaptive build's by more than 1e-8
-    relative, raises CutoffTooSmall, as in wavefunction_linear.
+    relative, raises CutoffTooSmall, as in wavefunction_linear.  Where
+    the closed form refuses (NonConvergence, CrossCheckFailure) a point
+    the three-term recursion solves, and a Gauss sum within its
+    truncation holds no correct digit, the refusal names that order.
     """
     if not params.is_two_photon:
         return wavefunction_linear(params, truncation=truncation)
-    betas, converged = _closed_form_amplitudes(params, truncation)
-    _spot_check_against_recursion(params, betas)
+    try:
+        betas, converged = _closed_form_amplitudes(params, truncation)
+        _spot_check_against_recursion(params, betas)
+    except (NonConvergence, CrossCheckFailure) as exc:
+        # the refusal names its real cause where that is a Gauss sum's lost digits
+        lost = _lost_order(params)
+        if lost is None:
+            raise
+        raise type(exc)(
+            f"the closed form's Gauss sums 2F1(-m, y; z; 2) hold no correct digit from order "
+            f"{lost[0]}, within the three-term recursion's truncation {lost[1]}; "
+            "wavefunction_via_three_term solves this point") from exc
     wf = _package(betas, converged)
     if truncation is not None and not converged:
         full = _package(*_closed_form_amplitudes(params, None)).norm_constant

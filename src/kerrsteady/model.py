@@ -11,7 +11,9 @@ and the master equation adds the dissipators gamma D[a] and kappa D[a^2].
 
 All frequencies share one unit; only ratios matter, which
 :func:`params_from_dict` exploits for config files that specify, say,
-delta_c / chi directly.
+delta_c / chi directly.  :func:`band` maps the rates to the coefficients
+of the doubled-space generator's q=0 -> q=1 band; the amplitude
+recursion and both closed forms' inputs read them from there.
 
 This module also holds the package's input rules: finite real and complex
 numbers, Fock sizes, moment orders, pairs, the drive sign, the
@@ -184,11 +186,38 @@ def _at_drive(params: ModelParams, omega) -> ModelParams:
 
 
 @dataclass(frozen=True)
+class Band:
+    """The doubled-space generator's q=0 -> q=1 band, which both closed forms read.
+
+    c0 = 2 delta_c - i gamma and c1 = 2 chi - i kappa give the diagonal
+    c0 + c1 (m - 1) at Fock index m; d = -2i sqrt(2) omega and
+    p = 2 lambda_2ph are the drive and pump couplings to the levels one
+    and two below.  See exact_linear for the recursion they define.
+    """
+
+    c0: complex
+    c1: complex
+    d: complex
+    p: complex
+
+
+def band(params: ModelParams) -> Band:
+    """The band of params: the one place the rates become (c0, c1, d, p)."""
+    return Band(
+        c0=2.0 * params.delta_c - 1j * params.gamma,
+        c1=2.0 * params.chi - 1j * params.kappa,
+        d=-2j * math.sqrt(2.0) * params.omega,
+        p=2.0 * params.lambda_2ph,
+    )
+
+
+@dataclass(frozen=True)
 class LinearDerived:
     """Derived inputs of the coherently driven closed form.
 
-    epsilon = -i omega / chi and x = (2 delta_c - i gamma) / (2 chi); the
-    steady-state amplitudes are beta_m = (sqrt(2) epsilon)^m / (sqrt(m!) (x)_m).
+    epsilon = -i omega / chi and x = c0 / c1, the ratio of the two
+    diagonal coefficients of model.band; the steady-state amplitudes are
+    beta_m = (sqrt(2) epsilon)^m / (sqrt(m!) (x)_m).
     """
 
     epsilon: complex
@@ -197,15 +226,13 @@ class LinearDerived:
 
 @dataclass(frozen=True)
 class TwoPhotonDerived:
-    """Derived inputs of the two-photon closed form.
+    """Derived inputs of the two-photon closed form, from model.band's (c0, c1, d, p).
 
-    lambda_disp = i sqrt(2 lambda_2ph / (2 chi - i kappa)) (principal square
-    root), and the Gauss-sum parameters
+    lambda_disp = i sqrt(p / c1) (principal square root), and the
+    Gauss-sum parameters
 
-        y = (-2i sqrt(2) omega + lambda_disp (2 delta_c - i gamma))
-            / (2 lambda_disp (2 chi - i kappa)),
-        z = (2 delta_c - i gamma) / (2 chi - i kappa),
-        asym = y - z/2 = -i sqrt(2) omega / (lambda_disp (2 chi - i kappa)).
+        y = (d + lambda_disp c0) / (2 lambda_disp c1),    z = c0 / c1,
+        asym = y - z/2 = -i sqrt(2) omega / (lambda_disp c1).
 
     asym is formed directly, as rounding removes a small drive from y.
     Odd amplitudes are odd in asym, so asym = 0 at omega = 0 kills them.
@@ -221,9 +248,8 @@ def derive_linear(params: ModelParams) -> LinearDerived:
     """Map physical parameters to the closed-form inputs (epsilon, x)."""
     if params.chi == 0.0:
         raise InvalidParams("the coherent-drive closed form needs chi != 0")
-    epsilon = -1j * params.omega / params.chi
-    x = (2.0 * params.delta_c - 1j * params.gamma) / (2.0 * params.chi)
-    return LinearDerived(epsilon=epsilon, x=x)
+    b = band(params)
+    return LinearDerived(epsilon=-1j * params.omega / params.chi, x=b.c0 / b.c1)
 
 
 def derive_twophoton(params: ModelParams) -> TwoPhotonDerived:
@@ -232,21 +258,21 @@ def derive_twophoton(params: ModelParams) -> TwoPhotonDerived:
     Requires a nonzero two-photon drive; the pure two-photon-loss model
     (lambda_2ph = 0, kappa > 0) has no displaced closed form and raises
     UnsupportedModel, as in every two-photon solver.  chi = 0 is fine as
-    long as kappa > 0 keeps the combination 2 chi - i kappa away from zero.
+    long as kappa > 0 keeps the band's c1 = 2 chi - i kappa away from zero.
     """
     _require_pump_with_loss(params)
     if params.chi == 0.0 and params.kappa == 0.0:
         raise InvalidParams("the two-photon closed form needs 2*chi - i*kappa != 0")
     if params.lambda_2ph == 0:
         raise InvalidParams("the two-photon closed form needs lambda_2ph != 0")
-    denom = 2.0 * params.chi - 1j * params.kappa
-    disp = 1j * cmath.sqrt(2.0 * params.lambda_2ph / denom)
-    y = (-2j * math.sqrt(2.0) * params.omega + disp * (2.0 * params.delta_c - 1j * params.gamma)) / (
-        2.0 * disp * denom
+    b = band(params)
+    disp = 1j * cmath.sqrt(b.p / b.c1)
+    return TwoPhotonDerived(
+        lambda_disp=disp,
+        y=(b.d + disp * b.c0) / (2.0 * disp * b.c1),
+        z=b.c0 / b.c1,
+        asym=-1j * math.sqrt(2.0) * params.omega / (disp * b.c1),
     )
-    z = (2.0 * params.delta_c - 1j * params.gamma) / denom
-    asym = -1j * math.sqrt(2.0) * params.omega / (disp * denom)
-    return TwoPhotonDerived(lambda_disp=disp, y=y, z=z, asym=asym)
 
 
 def params_from_dict(raw: dict) -> ModelParams:

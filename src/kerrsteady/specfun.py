@@ -11,7 +11,7 @@ model, and the private _conjugate_hyp0f2 sums its normalization, a
 series of real positive terms, to cross-check the amplitude sum.  The
 terminating Gauss sum 2F1(-m, y; z; 2) builds the displaced-frame
 wavefunction of the two-photon model, which needs every order of one
-(y, z); the private generator _gauss_sums walks them.  The 0F2 series
+(y, z); the private generator _gauss_sum_walk walks them.  The 0F2 series
 are summed directly; the Gauss sum is not, since at argument 2 its
 terms cancel like 3^m.
 
@@ -244,6 +244,16 @@ def _least_mass(forms: list[tuple[float, complex]]) -> tuple[float, complex]:
 def _gauss_sums(y: complex, z: complex, asym: complex | None = None) -> Iterator[complex]:
     """Yield the terminating Gauss sums 2F1(-m, y; z; 2) for m = 0, 1, 2, ...
 
+    These are the values of _gauss_sum_walk, which documents the sums.
+    """
+    return (value for _, value in _gauss_sum_walk(y, z, asym))
+
+
+def _gauss_sum_walk(
+    y: complex, z: complex, asym: complex | None = None
+) -> Iterator[tuple[float, complex]]:
+    """Yield (mass, value) of the Gauss sums 2F1(-m, y; z; 2) for m = 0, 1, 2, ...
+
     The direct sum at argument 2 is ill-conditioned: its terms alternate
     and their absolute mass grows like 3^m while the value stays of
     order one.  The same polynomial is therefore summed in plain complex
@@ -258,11 +268,12 @@ def _gauss_sums(y: complex, z: complex, asym: complex | None = None) -> Iterator
 
     A form's mass is the sum of its terms' magnitudes times the
     magnitude of its prefactor; in doubles its error is bounded by about
-    (m+1) * eps * mass, eps = 2^-52.  The value yielded is the one of
-    least mass, averaged with any form of exactly equal mass, which
-    keeps it exactly symmetric under y <-> w.  The connection forms are
-    summed first; only if (m+1) * eps * mass exceeds 1e-13 of the value
-    are the others summed too.  A form with a term whose modulus passes
+    (m+1) * eps * mass, eps = 2^-52, so once that passes |value| the
+    value holds no correct digit.  The value yielded is the one of least
+    mass, averaged with any form of exactly equal mass, which keeps it
+    exactly symmetric under y <-> w; its mass is yielded with it.  The
+    connection forms are summed first; only if (m+1) * eps * mass
+    exceeds 1e-13 of the value are the others summed too.  A form with a term whose modulus passes
     the double range is skipped: it gets infinite mass.  So is a
     connection form whose lower parameter comes within the pole guard of
     zero; so at y = z with z that close to one of 0, -1, ..., 1 - m both
@@ -303,7 +314,7 @@ def _gauss_sums(y: complex, z: complex, asym: complex | None = None) -> Iterator
     for m in itertools.count():
         if m % 2 and d == 0:
             # the Pfaff identity makes the value equal to minus itself
-            yield 0j
+            yield 0.0, 0j
         else:
             sign = -1.0 if m % 2 else 1.0
             forms = [_form(_connection_form, m, y_j, k_w, w, ratio_w)]
@@ -319,7 +330,7 @@ def _gauss_sums(y: complex, z: complex, asym: complex | None = None) -> Iterator
                 if m % 2:
                     forms.append(_form(_difference_form, m, y, w, z, d))
                 mass, value = _least_mass(forms)
-            yield value
+            yield mass, value
         zm = z + m
         poch_z *= zm
         try:

@@ -8,13 +8,17 @@ sums from order to order and summed amplitude moments in one array pass:
   from b and zb afresh, and picks the least mass through `min()`;
 * `gauss_sums` calls it once per order, as the two-photon closed form did;
 * `amplitude_moment` forms every weight with `math.lgamma` and `math.exp`
-  and accumulates numpy scalar products one term at a time.
+  and accumulates numpy scalar products one term at a time;
+* `linear_x` and `twophoton_inputs` form the closed forms' inputs x and
+  (lambda_disp, y, z) from the raw rates, as `model.derive_linear` and
+  `model.derive_twophoton` did before they read `model.band`.
 
 The package's versions must return the same bits, signed zeros included,
 and raise the same refusals at the same orders.  The fallback forms did
 not change, so they are imported, not copied.
 """
 
+import cmath
 import itertools
 import math
 
@@ -107,3 +111,19 @@ def amplitude_moment(wavefunction, l, k):
         )
         acc += np.conj(c[m + l]) * c[m + k] * weight
     return acc * _AMP_MOMENT_SCALE ** ((l + k) / 2.0)
+
+
+def linear_x(params):
+    """x = (2 delta_c - i gamma) / (2 chi), divided by the float 2 chi."""
+    return (2.0 * params.delta_c - 1j * params.gamma) / (2.0 * params.chi)
+
+
+def twophoton_inputs(params):
+    """lambda_disp, y and z, each formed from the rates."""
+    denom = 2.0 * params.chi - 1j * params.kappa
+    disp = 1j * cmath.sqrt(2.0 * params.lambda_2ph / denom)
+    y = (-2j * math.sqrt(2.0) * params.omega + disp * (2.0 * params.delta_c - 1j * params.gamma)) / (
+        2.0 * disp * denom
+    )
+    z = (2.0 * params.delta_c - 1j * params.gamma) / denom
+    return disp, y, z

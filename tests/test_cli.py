@@ -65,9 +65,11 @@ OVERFLOW_CASES = {
          "--omega-from", "1e100", "--omega-to", "1e100", "--omega-step", "1"],
         "the mean-field cubic leaves the double range"),
 }
-# The Gauss-sum walk's (z)_m leaves the double range before amplitude 76,
-# which the closed form then gets wrong.  The scalar-loop references of
-# loop_references.py raise OverflowError here, so only the shipped walk runs.
+# Points whose Gauss sums hold no correct digit from some order within the
+# three-term recursion's truncation: the closed form's refusal names that
+# order.  The first sum's (z)_m leaves the double range before amplitude 76,
+# where the scalar-loop references of loop_references.py raise
+# OverflowError, so only the shipped walk runs these.
 WALK_OVERFLOW_CASES = {
     "resonance-scan-pochhammer": (
         ["resonance-scan", "--chi", "-0.006784275261714434", "--gamma", "0.2370538519626042",
@@ -75,7 +77,15 @@ WALK_OVERFLOW_CASES = {
          "--lambda2-im", "0.29838164714849136", "--kappa", "0.005751176044218105",
          "--delta-from", "3.9150705581924186", "--delta-to", "3.9150705581924186",
          "--delta-step", "1"],
-        "amplitude 76 disagrees between closed form"),
+        "Gauss sums 2F1(-m, y; z; 2) hold no correct digit from order 16, within the "
+        "three-term recursion's truncation 39; wavefunction_via_three_term solves this point"),
+    "resonance-scan-connection": (
+        ["resonance-scan", "--chi", "0.004089232857269855", "--gamma", "0.42128067832539096",
+         "--omega", "0", "--lambda2", "1.932905460330087", "--lambda2-im", "-0.12593388825110785",
+         "--delta-from", "-6.081453982619993", "--delta-to", "-6.081453982619993",
+         "--delta-step", "1"],
+        "Gauss sums 2F1(-m, y; z; 2) hold no correct digit from order 12, within the "
+        "three-term recursion's truncation 33; wavefunction_via_three_term solves this point"),
 }
 GOLDEN_RESIDUAL = json.loads((DATA_DIR / "golden_residual.json").read_text())["cases"]
 
@@ -129,6 +139,12 @@ class TestHappyPaths:
         code, target = run_to_file(tmp_path, EXACT_ARGS)
         assert code == 0
         assert target.read_bytes() == (DATA_DIR / "golden_exact_sweep.csv").read_bytes()
+
+    def test_exact_sweep_extra_moment_matches_golden(self, tmp_path):
+        # the extra moment's columns come from the row's own build
+        code, target = run_to_file(tmp_path, EXACT_ARGS + ["--l", "2", "--k", "1"])
+        assert code == 0
+        assert target.read_bytes() == (DATA_DIR / "golden_exact_sweep_l2k1.csv").read_bytes()
 
     def test_resonance_scan_flags_pair_peak(self, tmp_path):
         code, target = run_to_file(tmp_path, SCAN_ARGS)

@@ -14,7 +14,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from kerrsteady import exact_linear
+from kerrsteady import cli, exact_linear
 from kerrsteady.errors import (
     CrossCheckFailure,
     CutoffTooSmall,
@@ -305,6 +305,13 @@ class TestSweep:
         row = exact_drive_point(bistable_params, 4.0)
         assert builds == [bistable_params.replace(omega=4.0)]
         assert row.n == correlation_linear(bistable_params, 1, 1).value.real
+        # an exact-sweep row with an extra moment takes it from the same build
+        builds.clear()
+        cells = cli._exact_sweep_row(bistable_params.replace(omega=0.0), 2, 1, 4.0)
+        assert builds == [bistable_params.replace(omega=4.0)]
+        extra = correlation_linear(bistable_params, 2, 1).value
+        assert cells == [4.0, row.n, row.amplitude.real, row.amplitude.imag, row.g2,
+                         extra.real, extra.imag]
 
     def test_g2_definition(self, bistable_params):
         row = exact_drive_point(bistable_params, 4.0)

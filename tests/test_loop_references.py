@@ -4,7 +4,9 @@
 order to order, and `amplitude_moment` sums in one array pass; both must
 agree with the per-call loops in loop_references.py to the last bit,
 signed zeros included, and refuse with the same class and message at
-the same order.  Values are compared through `tobytes()`.  These tests
+the same order.  The closed forms' inputs, formed from `model.band`, must
+keep the bits of the raw-rate formulas there.  Values are compared
+through `tobytes()`.  These tests
 carry the `bitwise` mark, which CI runs a second time with numpy's
 dispatched CPU targets disabled.
 """
@@ -15,12 +17,14 @@ import random
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import loop_references as ref
 from kerrsteady.errors import KerrSteadyError
 from kerrsteady.exact_linear import SteadyWavefunction, amplitude_moment, wavefunction_linear
 from kerrsteady.exact_twophoton import wavefunction_twophoton
-from kerrsteady.model import ModelParams, derive_twophoton
+from kerrsteady.model import ModelParams, derive_linear, derive_twophoton
 from kerrsteady.specfun import _gauss_sums
 
 from conftest import DATA_DIR
@@ -102,6 +106,41 @@ def test_single_order_matches_walk_after_odd_zero():
     assert all(v == 0j for v in values[1::2])
     for m, value in enumerate(values):
         assert outcome(lambda: value) == outcome(lambda: ref.gauss_sum(m, z / 2, z))
+
+
+def magnitudes(low, high):
+    """Floats whose base-10 exponent is uniform on [low, high]."""
+    return st.floats(min_value=low, max_value=high).map(lambda e: 10.0**e)
+
+
+def signed(low, high):
+    return st.tuples(st.sampled_from((-1.0, 1.0)), magnitudes(low, high)).map(
+        lambda pair: pair[0] * pair[1])
+
+
+# rates across twelve decades; kappa = 0 (the coherent drive's c1 = 2 chi) in
+# about half the draws, and chi = 0 sometimes, which kappa > 0 allows
+rates = st.builds(
+    ModelParams,
+    delta_c=st.one_of(st.just(0.0), signed(-6, 6)),
+    chi=st.one_of(st.just(0.0), signed(-6, 6)),
+    omega=st.one_of(st.just(0.0), magnitudes(-6, 6)),
+    gamma=magnitudes(-6, 6),
+    lambda_2ph=st.builds(complex, st.one_of(st.just(0.0), signed(-6, 6)),
+                         st.one_of(st.just(0.0), signed(-6, 6))),
+    kappa=st.one_of(st.just(0.0), magnitudes(-6, 6)),
+)
+
+
+@settings(max_examples=400)
+@given(p=rates)
+def test_band_route_keeps_raw_rate_bits(p):
+    if p.kappa == 0.0 and p.chi != 0.0:
+        assert outcome(lambda: derive_linear(p).x) == outcome(lambda: ref.linear_x(p))
+    if p.lambda_2ph != 0 and (p.chi != 0.0 or p.kappa != 0.0):
+        d = derive_twophoton(p)
+        got = np.array([d.lambda_disp, d.y, d.z], dtype=complex).tobytes()
+        assert got == np.array(ref.twophoton_inputs(p), dtype=complex).tobytes()
 
 
 MOMENT_STATES = {

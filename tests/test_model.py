@@ -1,5 +1,6 @@
 """Parameter container, derived complex parameters, config ingestion."""
 
+import dataclasses
 import math
 
 import numpy as np
@@ -16,7 +17,9 @@ from kerrsteady.exact_twophoton import (
 )
 from kerrsteady.meanfield import drive_point_branches, photon_number_branches
 from kerrsteady.model import (
+    Band,
     ModelParams,
+    band,
     derive_linear,
     derive_twophoton,
     params_from_dict,
@@ -125,6 +128,25 @@ def test_is_two_photon_flag():
     assert not base.is_two_photon
     assert base.replace(lambda_2ph=0.1).is_two_photon
     assert base.replace(kappa=0.1).is_two_photon
+
+
+class TestBand:
+    def test_coefficients(self):
+        p = ModelParams(delta_c=1.5, chi=-0.25, omega=2.0, gamma=0.5, lambda_2ph=0.3 - 0.1j,
+                        kappa=0.2)
+        assert band(p) == Band(c0=3.0 - 0.5j, c1=-0.5 - 0.2j, d=-2j * math.sqrt(2.0) * 2.0,
+                               p=0.6 - 0.2j)
+
+    @pytest.mark.parametrize("chi", [-0.25, 1e-300, 3.0])
+    def test_no_two_photon_loss_gives_real_c1(self, chi):
+        # the complex CPython makes of derive_linear's former float divisor 2 chi
+        c1 = band(ModelParams(delta_c=5.0, chi=chi, omega=4.0, gamma=1.0)).c1
+        assert c1 == complex(2.0 * chi, 0.0)
+        assert math.copysign(1.0, c1.imag) == 1.0
+
+    def test_frozen(self):
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            band(ModelParams(delta_c=1.0, chi=1.0, omega=0.0, gamma=1.0)).c0 = 0j
 
 
 class TestDeriveLinear:
