@@ -108,17 +108,17 @@ def _ladder(
 ) -> tuple[list[complex], bool]:
     """Climb the Fock ladder from beta_0 = 1 with beta_m = step(m, betas).
 
-    Every amplitude route runs through this one loop; a route supplies
-    only its step, which sees the amplitudes so far and raises on its own
-    pole or overflow.  Adaptively (truncation None) the climb stops when
-    the tail rule fires and raises NonConvergence past max_truncation;
-    with a fixed truncation it computes exactly that many levels and
-    reports whether the rule held there.  Either way, a squared-amplitude
-    sum past the double range raises NonConvergence naming the Fock index
-    where it ran out.  The rule is specfun._tail_run, the predicate the 0F2
-    series stop by as well: _TAIL_RUN squared amplitudes in a row, each at
-    most tail_tol of the sum so far.  A proven tail bound would replace
-    that predicate.
+    Its one production caller is _recursion_amplitudes, whose step is the
+    band recursion; the step is an argument so that the tests can drive
+    the rule with a synthetic sequence.  Adaptively (truncation None) the
+    climb stops when the tail rule fires and raises NonConvergence past
+    max_truncation; with a fixed truncation it computes exactly that many
+    levels and reports whether the rule held there.  Either way, a
+    squared-amplitude sum past the double range raises NonConvergence
+    naming the Fock index where it ran out.  The rule is
+    specfun._tail_run, the predicate the 0F2 series stop by as well:
+    _TAIL_RUN squared amplitudes in a row, each at most tail_tol of the
+    sum so far.  A proven tail bound would replace that predicate.
     """
     if truncation is not None:
         truncation = _check_fock_size("truncation", truncation, 0)
@@ -196,11 +196,24 @@ def _package(betas: list[complex], converged: bool) -> SteadyWavefunction:
     )
 
 
-def _cutoff_too_small(truncation: int, norm: float, reference: str) -> CutoffTooSmall:
-    """The refusal of a fixed truncation, short of the tail rule, whose squared sum misses."""
-    return CutoffTooSmall(
-        f"truncation {truncation} is too small for this state: its amplitudes have not "
-        f"died out there, and their squared sum {norm!r} misses {reference}")
+def _band_amplitudes(params: ModelParams, truncation: int | None) -> tuple[list[complex], bool]:
+    """The recursion's amplitudes, adaptive or at a fixed truncation, and its converged flag.
+
+    Every amplitude route starts here, so the recursion alone decides
+    where a sequence ends.  A fixed truncation that ends before the tail
+    rule holds, and whose squared sum misses the adaptive build's by more
+    than _NORM_XCHECK_TOL relative, raises CutoffTooSmall.
+    """
+    betas, converged = _recursion_amplitudes(params, _TAIL_TOL, _MAX_TRUNCATION, truncation)
+    if truncation is not None and not converged:
+        norm = _package(betas, converged).norm_constant
+        full = _package(*_recursion_amplitudes(params, _TAIL_TOL, _MAX_TRUNCATION, None))
+        if not math.isclose(norm, full.norm_constant, rel_tol=_NORM_XCHECK_TOL):
+            raise CutoffTooSmall(
+                f"truncation {len(betas) - 1} is too small for this state: its amplitudes "
+                f"have not died out there, and their squared sum {norm!r} misses the "
+                f"adaptive build's {full.norm_constant!r}")
+    return betas, converged
 
 
 def _release_moment(
@@ -248,20 +261,17 @@ def wavefunction_linear(params: ModelParams, truncation: int | None = None) -> S
         If the tail rule has not held by Fock index _MAX_TRUNCATION.
     CutoffTooSmall
         If a fixed truncation ends before the tail rule holds and the
-        amplitude sum therefore misses the hypergeometric normalization.
+        amplitude sum misses the adaptive build's (_band_amplitudes).
     CrossCheckFailure
-        If the two normalizations disagree in any other case.
+        If the amplitude sum and the hypergeometric normalization disagree.
     """
     _require_coherent_drive(params)
     # derive_linear refuses chi = 0 (no 0F2 form) before the recursion, which would run there
     derived = derive_linear(params)
-    wf = _package(*_recursion_amplitudes(params, _TAIL_TOL, _MAX_TRUNCATION, truncation))
+    wf = _package(*_band_amplitudes(params, truncation))
     norm_series = wf.norm_constant
     norm_hyper = _conjugate_hyp0f2(derived.x, _drive_argument(derived.epsilon))
     if not math.isclose(norm_series, norm_hyper, rel_tol=_NORM_XCHECK_TOL):
-        if truncation is not None and not wf.converged:
-            raise _cutoff_too_small(
-                truncation, norm_series, f"the hypergeometric normalization {norm_hyper!r}")
         raise CrossCheckFailure(
             "normalization mismatch between amplitude sum "
             f"{norm_series!r} and hypergeometric value {norm_hyper!r}"

@@ -6,12 +6,14 @@ terminating Gauss hypergeometric polynomial,
 
     beta_m = (-lambda_disp)^m / sqrt(m!) * 2F1(-m, y; z; 2),
 
-which is the production route here.  The same amplitudes obey
-exact_linear's recursion through model.band, which is tridiagonal with
-the pump.  It is exposed as a separate operation
-(wavefunction_via_three_term) so the two routes can be compared
-elementwise, and every production call verifies all its amplitudes
-against it before releasing values.
+the band's closed-form solution and the production route here.  The
+same amplitudes obey exact_linear's recursion through model.band, which
+is tridiagonal with the pump, and the recursion sets the length: as in
+every route (exact_linear._band_amplitudes), it decides where the
+sequence ends and whether a fixed truncation is too short.  The Gauss
+sums then fill in exactly that many amplitudes, and each must agree
+with the recursion's before a value is released.  The recursion alone
+is exposed as wavefunction_via_three_term.
 
 Moments come from amplitude sums; there is no compact ratio form as in
 the linear model, so each moment is recomputed through the printed
@@ -27,15 +29,13 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import CrossCheckFailure, KerrSteadyError, NonConvergence
+from .errors import CrossCheckFailure, NonConvergence
 from .exact_linear import (
     _MAX_TRUNCATION,
-    _NORM_XCHECK_TOL,
     CorrelationResult,
     SteadyWavefunction,
-    _cutoff_too_small,
+    _band_amplitudes,
     _g2,
-    _ladder,
     _package,
     _recursion_amplitudes,
     _release_moment,
@@ -43,9 +43,9 @@ from .exact_linear import (
     correlation_linear,
     wavefunction_linear,
 )
-from .model import (ModelParams, _check_fock_size, _check_moment_orders,
+from .model import (ModelParams, TwoPhotonDerived, _check_fock_size, _check_moment_orders,
                     _require_pump_with_loss, derive_twophoton)
-from .specfun import _EPS, _TAIL_TOL, _gauss_sum_walk, _gauss_sums
+from .specfun import _EPS, _gauss_sum_walk, _gauss_sums
 
 # the cross-check covers the whole amplitude support: up to the truncation cap
 _XCHECK_MAX_INDEX = _MAX_TRUNCATION
@@ -53,10 +53,8 @@ _XCHECK_AMP_FLOOR = 1e-12
 _XCHECK_TOL = 1e-9
 
 
-def _closed_form_amplitudes(
-    params: ModelParams, truncation: int | None
-) -> tuple[list[complex], bool]:
-    """Unnormalized amplitudes from the polynomial closed form.
+def _closed_form_amplitudes(derived: TwoPhotonDerived, truncation: int) -> list[complex]:
+    """Unnormalized amplitudes from the polynomial closed form, to Fock index truncation.
 
     The running prefactor (-lambda_disp)^m / sqrt(m!) decays fast enough
     that the product stays bounded, but the bare polynomial value can
@@ -64,35 +62,32 @@ def _closed_form_amplitudes(
     NonConvergence pointing at the recursion route, which has no such
     ceiling.
     """
-    derived = derive_twophoton(params)
     lam = derived.lambda_disp
-    # the ladder asks for orders 1, 2, ... in turn: one walk serves them all,
-    # past order 0 (beta_0 = 1), which the ladder holds already
-    sums = itertools.islice(_gauss_sums(derived.y, derived.z, derived.asym), 1, None)
-    scale = complex(1.0)
-
-    def step(m: int, betas: list[complex]) -> complex:
-        nonlocal scale
+    # one walk serves every order; order 0 is beta_0 = 1
+    sums = itertools.islice(_gauss_sums(derived.y, derived.z, derived.asym), 1, truncation + 1)
+    betas, scale = [complex(1.0)], complex(1.0)
+    for m, value in enumerate(sums, 1):
         scale *= -lam / math.sqrt(float(m))
-        value = scale * next(sums)
-        if not (math.isfinite(value.real) and math.isfinite(value.imag)):
+        betas.append(scale * value)
+        # hypot, unlike abs(), returns inf for a modulus past the double range
+        if not math.hypot(betas[m].real, betas[m].imag) < math.inf:  # nan too
             raise NonConvergence(
                 f"polynomial value overflowed at Fock index {m}; "
                 "use wavefunction_via_three_term for this regime"
             )
-        return value
-
-    return _ladder(step, _TAIL_TOL, _MAX_TRUNCATION, truncation)
+    return betas
 
 
-def _spot_check_against_recursion(params: ModelParams, betas: list[complex]) -> None:
-    """Compare every closed-form amplitude against the recursion route.
+def _spot_check_against_recursion(
+    params: ModelParams, betas: list[complex], reference: list[complex]
+) -> None:
+    """Compare every closed-form amplitude against the recursion's, reference.
 
     Amplitudes below 1e-12 of the peak are skipped; the rest must agree
-    to 1e-9 relative.
+    to 1e-9 relative.  params is unused here: perfbench/tracing.py reads
+    (params, betas) to report the largest gap.
     """
     top = min(len(betas) - 1, _XCHECK_MAX_INDEX)
-    reference, _ = _recursion_amplitudes(params, 0.0, top, top)
     peak = max(abs(b) for b in betas[: top + 1])
     for m in range(top + 1):
         if abs(betas[m]) < _XCHECK_AMP_FLOOR * peak:
@@ -105,24 +100,17 @@ def _spot_check_against_recursion(params: ModelParams, betas: list[complex]) -> 
             )
 
 
-def _lost_order(params: ModelParams) -> tuple[int, int] | None:
-    """The first Gauss-sum order that holds no correct digit, and the recursion's truncation.
+def _lost_order(derived: TwoPhotonDerived, truncation: int) -> int | None:
+    """The first Gauss-sum order up to truncation that holds no correct digit, or None.
 
     An order holds no correct digit once (m+1) eps times its least mass
-    passes its modulus (specfun._gauss_sum_walk).  None unless such an
-    order lies within the truncation at which the three-term recursion
-    solves the point.
+    passes its modulus (specfun._gauss_sum_walk).
     """
-    try:
-        top = len(_recursion_amplitudes(params, _TAIL_TOL, _MAX_TRUNCATION, None)[0]) - 1
-        derived = derive_twophoton(params)
-        walk = _gauss_sum_walk(derived.y, derived.z, derived.asym)
-        for m, (mass, value) in enumerate(itertools.islice(walk, top + 1)):
-            # no abs() at infinite mass: the value is nan there
-            if mass == math.inf or (m + 1) * _EPS * mass > abs(value):
-                return m, top
-    except KerrSteadyError:
-        pass
+    walk = _gauss_sum_walk(derived.y, derived.z, derived.asym)
+    for m, (mass, value) in enumerate(itertools.islice(walk, truncation + 1)):
+        # no abs() at infinite mass: the value is nan there
+        if mass == math.inf or (m + 1) * _EPS * mass > abs(value):
+            return m
     return None
 
 
@@ -132,34 +120,32 @@ def wavefunction_twophoton(params: ModelParams, truncation: int | None = None) -
     Falls back to the linear solver when the pump and two-photon loss are
     both absent; refuses two-photon loss without a pump, which has no
     closed form in this family.  Arguments mirror wavefunction_linear.
-    Every amplitude is checked against the three-term recursion on every
-    call.  A fixed truncation that ends before the tail rule holds, and
-    whose squared sum misses the adaptive build's by more than 1e-8
-    relative, raises CutoffTooSmall, as in wavefunction_linear.  Where
-    the closed form refuses (NonConvergence, CrossCheckFailure) a point
-    the three-term recursion solves, and a Gauss sum within its
+    The three-term recursion sets the length and decides, as in every
+    route, whether a fixed truncation is too short (CutoffTooSmall); the
+    Gauss sums then fill in that many amplitudes, and each must agree
+    with the recursion's.  Where the closed form refuses
+    (NonConvergence, CrossCheckFailure) and a Gauss sum within the
     truncation holds no correct digit, the refusal names that order.
     """
     if not params.is_two_photon:
         return wavefunction_linear(params, truncation=truncation)
+    # derive_twophoton refuses loss without a pump before the recursion runs
+    derived = derive_twophoton(params)
+    reference, converged = _band_amplitudes(params, truncation)
+    top = len(reference) - 1
     try:
-        betas, converged = _closed_form_amplitudes(params, truncation)
-        _spot_check_against_recursion(params, betas)
+        betas = _closed_form_amplitudes(derived, top)
+        _spot_check_against_recursion(params, betas, reference)
     except (NonConvergence, CrossCheckFailure) as exc:
         # the refusal names its real cause where that is a Gauss sum's lost digits
-        lost = _lost_order(params)
+        lost = _lost_order(derived, top)
         if lost is None:
             raise
         raise type(exc)(
             f"the closed form's Gauss sums 2F1(-m, y; z; 2) hold no correct digit from order "
-            f"{lost[0]}, within the three-term recursion's truncation {lost[1]}; "
+            f"{lost}, within the three-term recursion's truncation {top}; "
             "wavefunction_via_three_term solves this point") from exc
-    wf = _package(betas, converged)
-    if truncation is not None and not converged:
-        full = _package(*_closed_form_amplitudes(params, None)).norm_constant
-        if not math.isclose(wf.norm_constant, full, rel_tol=_NORM_XCHECK_TOL):
-            raise _cutoff_too_small(truncation, wf.norm_constant, f"the adaptive build's {full!r}")
-    return wf
+    return _package(betas, converged)
 
 
 def wavefunction_via_three_term(
@@ -172,11 +158,11 @@ def wavefunction_via_three_term(
     loss both absent the recursion is the linear model's, so that family
     is accepted here (and produces exactly wavefunction_linear's
     amplitudes); only two-photon loss without a pump is refused, as in
-    the closed form.
+    the closed form.  A short fixed truncation raises CutoffTooSmall by
+    the rule every route shares (exact_linear._band_amplitudes).
     """
     _require_pump_with_loss(params)
-    betas, converged = _recursion_amplitudes(params, _TAIL_TOL, _MAX_TRUNCATION, truncation)
-    return _package(betas, converged)
+    return _package(*_band_amplitudes(params, truncation))
 
 
 def correlation_twophoton(params: ModelParams, l: int, k: int) -> CorrelationResult:

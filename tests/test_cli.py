@@ -307,6 +307,13 @@ class TestHappyPaths:
         assert proc.returncode == 0, proc.stderr
         assert target.read_bytes() == (DATA_DIR / "golden_exact_sweep.csv").read_bytes()
 
+    def test_module_entry_point(self, tmp_path):
+        # python -m kerrsteady runs the same main as the console script
+        target = tmp_path / "out.csv"
+        proc = run_python(["-m", "kerrsteady"] + MEANFIELD_ARGS + ["-o", str(target)])
+        assert proc.returncode == 0, proc.stderr
+        assert target.read_bytes() == (DATA_DIR / "golden_meanfield_sweep.csv").read_bytes()
+
     def test_import_leaves_scipy_unloaded(self):
         # the grid commands need numpy only; the oracle and the doubled
         # space import scipy when they run
@@ -494,6 +501,21 @@ class TestUsageErrors:
         assert len(points) == cli._MAX_GRID_POINTS
         assert points[-1] == cli._MAX_GRID_POINTS - 1.0
 
+    @pytest.mark.parametrize("flag, rest", [
+        ("--config", ["--omega-from", "0", "--omega-to", "1", "--omega-step", "0.5"]),
+        ("--manifest", []),
+    ], ids=["config", "manifest"])
+    def test_invalid_json_exits_two(self, tmp_path, capsys, flag, rest):
+        bad = tmp_path / "bad.json"
+        bad.write_text('{"delta_c": 5.0,')
+        command = "validate" if flag == "--manifest" else "meanfield-sweep"
+        code = main([command, flag, str(bad)] + rest)
+        out, err = capsys.readouterr()
+        assert code == 2
+        assert out == ""
+        assert err.startswith(f"error: {bad} is not valid JSON: ")
+        assert err.count("\n") == 1
+
     def test_config_and_flags_exclusive(self, tmp_path, capsys):
         config = tmp_path / "config.json"
         config.write_text(json.dumps({"delta_c": 5.0, "chi": -0.25, "gamma": 1.0}))
@@ -626,6 +648,24 @@ class TestUsageErrors:
 
 
 class TestDomainErrors:
+    @pytest.mark.parametrize("command, name, document, why", [
+        (["validate", "--manifest"], "cases.json",
+         [{"id": "listed", "params": [5.0, -0.25, 1.0], "l": 1, "k": 1}],
+         "error: config must be a mapping, got list\n"),
+        (["meanfield-sweep", "--omega-from", "0", "--omega-to", "1", "--omega-step", "0.5",
+          "--config"], "config.json",
+         {"unit": "hbar", "delta_c_over_hbar": 5.0, "chi": -0.25, "gamma": 1.0},
+         "error: unit must be 'gamma' or 'chi', got 'hbar'\n"),
+    ], ids=["manifest-params-list", "config-unit-hbar"])
+    def test_malformed_parameters_exit_one(self, tmp_path, capsys, command, name, document, why):
+        path = tmp_path / name
+        path.write_text(json.dumps(document))
+        code = main(command + [str(path)])
+        out, err = capsys.readouterr()
+        assert code == 1
+        assert out == ""
+        assert err == why
+
     def test_loss_without_pump_exits_one(self, tmp_path, capsys):
         target = tmp_path / "never.json"
         code = main(["residual", "--delta-c", "1", "--chi", "1", "--gamma", "0.1",

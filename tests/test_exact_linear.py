@@ -7,7 +7,6 @@ inequalities any physical state must satisfy.
 
 import cmath
 import math
-import sys
 
 import numpy as np
 import pytest
@@ -93,10 +92,24 @@ class TestWavefunction:
         (wavefunction_via_three_term, "twophoton_params"),
     ], ids=["linear", "twophoton", "three-term"])
     def test_truncation_cap_raises(self, request, monkeypatch, solver, point):
-        # each route reads the cap of its own module at call time
-        monkeypatch.setattr(sys.modules[solver.__module__], "_MAX_TRUNCATION", 8)
+        # every route climbs the one band recursion, which reads its cap at call time
+        monkeypatch.setattr(exact_linear, "_MAX_TRUNCATION", 8)
         with pytest.raises(NonConvergence, match="Fock index 8"):
             solver(request.getfixturevalue(point))
+
+    @pytest.mark.parametrize("solver, lam", [
+        (wavefunction_linear, 0.0),
+        (wavefunction_twophoton, 0.0),
+        (wavefunction_twophoton, 0.2),
+        (wavefunction_via_three_term, 0.0),
+        (wavefunction_via_three_term, 0.2),
+    ], ids=["linear", "twophoton-delegating", "twophoton", "three-term-coherent", "three-term"])
+    @pytest.mark.parametrize("m", [2, 3, 6])
+    def test_recursion_pole_refused(self, solver, lam, m):
+        # delta = -chi (m - 1) leaves the band coefficient c0 + c1 (m - 1) at -1e-13 i
+        p = ModelParams(delta_c=1.0 - m, chi=1.0, omega=0.3, gamma=1e-13, lambda_2ph=lam)
+        with pytest.raises(DenominatorPole, match=f"vanishes at index {m}$"):
+            solver(p)
 
     @pytest.mark.parametrize("solver, point", [
         (wavefunction_linear, "bistable_params"),

@@ -14,9 +14,10 @@ import pytest
 from hypothesis import example, given
 from hypothesis import strategies as st
 
-from kerrsteady import exact_twophoton
+from kerrsteady import exact_linear, exact_twophoton
 from kerrsteady.cli import main
-from kerrsteady.errors import CrossCheckFailure, CutoffTooSmall, InvalidParams, UnsupportedModel
+from kerrsteady.errors import (CrossCheckFailure, CutoffTooSmall, InvalidParams, KerrSteadyError,
+                               NonConvergence, UnsupportedModel)
 from kerrsteady.exact_linear import correlation_linear, wavefunction_linear
 from kerrsteady.exact_twophoton import (
     correlation_twophoton,
@@ -54,6 +55,22 @@ small_drive_points = [
     ModelParams(delta_c=0.0, chi=chi, omega=1e-8, gamma=gamma, lambda_2ph=lam)
     for chi, gamma, lam in ((0.5, 0.5, 0.5), (2.0, 0.5, 0.5), (0.25, 0.375, 0.1875))
 ]
+
+# delta/chi < 0 points whose Gauss sums hold no correct digit from order
+# 22 and 16, in the valley between the two humps of the weights, where the
+# recursion stops (M = 53 and 99).  A closed form that ran its own tail
+# rule on the lost digits climbed on to M = 371 and 809 and released them.
+LOST_DIGIT_POINTS = [
+    ModelParams(delta_c=2.5004439855482765, chi=-0.012728801653520413,
+                omega=0.1072166314538727, gamma=0.038227172952783404,
+                lambda_2ph=1.092828675700585),
+    ModelParams(delta_c=-5.059741441209265, chi=0.012326866265809745,
+                omega=0.002103511079776728, gamma=0.20215677202514365,
+                lambda_2ph=3.134451254209012),
+]
+# the twophoton_params fixture's point, which @example cannot take from a fixture
+TWOPHOTON_POINT = ModelParams(delta_c=-1.0, chi=1.0, omega=0.1, gamma=0.1, lambda_2ph=0.2,
+                              kappa=0.1)
 
 
 def small_drive_examples(**other):
@@ -147,6 +164,19 @@ class TestWavefunctionRoutes:
         with pytest.raises(CrossCheckFailure, match="amplitude 40 "):
             wavefunction_twophoton(strong)
 
+    @pytest.mark.parametrize("huge", [complex(math.inf, 0.0), complex(math.nan, 0.0)],
+                             ids=["inf", "nan"])
+    def test_overflowing_gauss_sum_refused(self, monkeypatch, twophoton_params, huge):
+        exact = exact_twophoton._gauss_sums
+
+        def overflowing(y, z, asym=None):
+            for m, value in enumerate(exact(y, z, asym)):
+                yield huge if m == 3 else value
+
+        monkeypatch.setattr(exact_twophoton, "_gauss_sums", overflowing)
+        with pytest.raises(NonConvergence, match="overflowed at Fock index 3"):
+            wavefunction_twophoton(twophoton_params)
+
     @given(p=twophoton_sampled)
     def test_branch_flip_leaves_amplitudes_alone(self, p):
         # The displacement scale is a square root; picking the other
@@ -164,6 +194,64 @@ class TestWavefunctionRoutes:
         with pytest.raises(CutoffTooSmall, match="truncation 6 .* adaptive build's"):
             wavefunction_twophoton(twophoton_params, truncation=6)
         assert not wavefunction_twophoton(twophoton_params, truncation=8).converged
+
+    def test_short_fixed_three_term_truncation_refused(self, twophoton_params):
+        # the same rule, on the same amplitudes, as the closed form's above
+        with pytest.raises(CutoffTooSmall, match="truncation 6 .* adaptive build's"):
+            wavefunction_via_three_term(twophoton_params, truncation=6)
+        assert not wavefunction_via_three_term(twophoton_params, truncation=8).converged
+
+    @given(p=twophoton_sampled, truncation=st.one_of(st.none(), st.integers(1, 40)))
+    @example(p=LOST_DIGIT_POINTS[0], truncation=None)
+    @example(p=LOST_DIGIT_POINTS[1], truncation=None)
+    @example(p=TWOPHOTON_POINT, truncation=6)
+    @example(p=TWOPHOTON_POINT, truncation=8)
+    def test_closed_form_ends_where_the_recursion_does(self, p, truncation):
+        def outcome(solver):
+            try:
+                wf = solver(p, truncation=truncation)
+            except KerrSteadyError as exc:
+                return type(exc)
+            return wf.truncation, wf.converged
+
+        closed = outcome(wavefunction_twophoton)
+        recur = outcome(wavefunction_via_three_term)
+        assert (closed is CutoffTooSmall) == (recur is CutoffTooSmall)
+        if isinstance(closed, tuple):
+            assert closed == recur
+
+    @pytest.mark.parametrize("truncation", [None, 8, 30])
+    def test_one_gauss_walk_and_no_rebuild_per_build(self, monkeypatch, twophoton_params,
+                                                      truncation):
+        # truncation 8 is short of the state but within the norm tolerance
+        walks, in_spot_check, rebuilt = [], [], []
+        gauss_sums = exact_twophoton._gauss_sums
+        spot_check = exact_twophoton._spot_check_against_recursion
+        recursion = exact_linear._recursion_amplitudes
+
+        def counted_sums(*args):
+            walks.append(args)
+            return gauss_sums(*args)
+
+        def flagged_spot_check(*args):
+            in_spot_check.append(True)
+            try:
+                return spot_check(*args)
+            finally:
+                in_spot_check.pop()
+
+        def recorded_recursion(*args):
+            rebuilt.append(bool(in_spot_check))
+            return recursion(*args)
+
+        monkeypatch.setattr(exact_twophoton, "_gauss_sums", counted_sums)
+        monkeypatch.setattr(exact_twophoton, "_spot_check_against_recursion", flagged_spot_check)
+        for module in (exact_linear, exact_twophoton):
+            monkeypatch.setattr(module, "_recursion_amplitudes", recorded_recursion)
+        wf = wavefunction_twophoton(twophoton_params, truncation=truncation)
+        assert wf.converged is (truncation != 8)
+        assert len(walks) == 1
+        assert rebuilt and not any(rebuilt)
 
     def test_delegates_to_linear_without_pump_or_loss(self, bistable_params):
         via_two = wavefunction_twophoton(bistable_params)
