@@ -66,9 +66,10 @@ class SteadyWavefunction:
 
     amplitudes holds the normalized sequence (unit squared sum) up to
     Fock index `truncation`.  norm_constant is the squared sum of the
-    unnormalized recursion output, which doubles as the hypergeometric
-    normalization value.  tail_mass is the normalized weight of the
-    highest kept level only.  It is not a bound on the discarded weight:
+    unnormalized amplitudes: the recursion's (for the coherent drive the
+    0F2 norm value), or for wavefunction_twophoton the Gauss-sum closed
+    form's.  tail_mass is the normalized weight of the highest kept
+    level only.  It is not a bound on the discarded weight:
     the weights can dip and rise again (for the coherent drive when
     Re x < 0, towards the multiphoton resonance index 1 - Re x), and the
     stopping rule can fire in the valley between the two humps with most

@@ -10,21 +10,22 @@ the band's closed-form solution and the production route here.  The
 same amplitudes obey exact_linear's recursion through model.band, which
 is tridiagonal with the pump, and the recursion sets the length: as in
 every route (exact_linear._band_amplitudes), it decides where the
-sequence ends and whether a fixed truncation is too short.  The Gauss
-sums then fill in exactly that many amplitudes, and each must agree
-with the recursion's before a value is released.  The recursion alone
-is exposed as wavefunction_via_three_term.
+sequence ends and whether a fixed truncation is too short.  One walk of
+the Gauss sums fills in exactly that many amplitudes, and each must
+agree with the recursion's before a value is released.  The recursion
+alone is exposed as wavefunction_via_three_term.
 
 Moments come from amplitude sums; there is no compact ratio form as in
 the linear model, so each moment is recomputed through the printed
-normalization-and-sum arrangement fed by recursion amplitudes, and the
-two results must agree before a value is released.
+normalization-and-sum arrangement fed by the same build's recursion
+amplitudes, and the two results must agree before a value is released.
 """
 
 from __future__ import annotations
 
 import itertools
 import math
+from collections.abc import Iterator
 from dataclasses import dataclass
 
 import numpy as np
@@ -37,7 +38,7 @@ from .exact_linear import (
     _band_amplitudes,
     _g2,
     _package,
-    _recursion_amplitudes,
+    _recursion_amplitudes,  # not used here: perfbench/tracing.py imports it from here
     _release_moment,
     amplitude_moment,
     correlation_linear,
@@ -45,7 +46,7 @@ from .exact_linear import (
 )
 from .model import (ModelParams, TwoPhotonDerived, _check_fock_size, _check_moment_orders,
                     _require_pump_with_loss, derive_twophoton)
-from .specfun import _EPS, _gauss_sum_walk, _gauss_sums
+from .specfun import _EPS, _gauss_sum_walk
 
 # the cross-check covers the whole amplitude support: up to the truncation cap
 _XCHECK_MAX_INDEX = _MAX_TRUNCATION
@@ -53,22 +54,25 @@ _XCHECK_AMP_FLOOR = 1e-12
 _XCHECK_TOL = 1e-9
 
 
-def _closed_form_amplitudes(derived: TwoPhotonDerived, truncation: int) -> list[complex]:
+def _closed_form_amplitudes(derived: TwoPhotonDerived, walk: Iterator[tuple[float, complex]],
+                            truncation: int, pairs: list[tuple[float, complex]]) -> list[complex]:
     """Unnormalized amplitudes from the polynomial closed form, to Fock index truncation.
 
-    The running prefactor (-lambda_disp)^m / sqrt(m!) decays fast enough
-    that the product stays bounded, but the bare polynomial value can
-    overflow once the index reaches several hundred; that surfaces as a
-    NonConvergence pointing at the recursion route, which has no such
-    ceiling.
+    pairs keeps each (mass, value) taken from walk, a fresh Gauss-sum
+    walk.  The running prefactor (-lambda_disp)^m / sqrt(m!) decays fast
+    enough that the product stays bounded, but the bare polynomial value
+    can overflow once the index reaches several hundred; that surfaces
+    as a NonConvergence pointing at the recursion route, which has
+    reached this index within its own ceiling (exact_linear._ladder).
     """
     lam = derived.lambda_disp
-    # one walk serves every order; order 0 is beta_0 = 1
-    sums = itertools.islice(_gauss_sums(derived.y, derived.z, derived.asym), 1, truncation + 1)
+    # order 0 is beta_0 = 1
+    pairs.append(next(walk))
     betas, scale = [complex(1.0)], complex(1.0)
-    for m, value in enumerate(sums, 1):
+    for m, pair in enumerate(itertools.islice(walk, truncation), 1):
+        pairs.append(pair)
         scale *= -lam / math.sqrt(float(m))
-        betas.append(scale * value)
+        betas.append(scale * pair[1])
         # hypot, unlike abs(), returns inf for a modulus past the double range
         if not math.hypot(betas[m].real, betas[m].imag) < math.inf:  # nan too
             raise NonConvergence(
@@ -100,18 +104,36 @@ def _spot_check_against_recursion(
             )
 
 
-def _lost_order(derived: TwoPhotonDerived, truncation: int) -> int | None:
-    """The first Gauss-sum order up to truncation that holds no correct digit, or None.
+def _closed_form_build(params: ModelParams,
+                       truncation: int | None) -> tuple[list[complex], list[complex], bool]:
+    """The closed form's amplitudes, the recursion's (reference) and converged.
 
-    An order holds no correct digit once (m+1) eps times its least mass
-    passes its modulus (specfun._gauss_sum_walk).
+    One band recursion sets the length, and one Gauss-sum walk fills it.
+    Where the closed form refuses and a Gauss sum within the truncation
+    holds no correct digit, the refusal names the first such order.
     """
+    # derive_twophoton refuses loss without a pump before the recursion runs
+    derived = derive_twophoton(params)
+    reference, converged = _band_amplitudes(params, truncation)
+    top = len(reference) - 1
     walk = _gauss_sum_walk(derived.y, derived.z, derived.asym)
-    for m, (mass, value) in enumerate(itertools.islice(walk, truncation + 1)):
-        # no abs() at infinite mass: the value is nan there
-        if mass == math.inf or (m + 1) * _EPS * mass > abs(value):
-            return m
-    return None
+    pairs: list[tuple[float, complex]] = []
+    try:
+        betas = _closed_form_amplitudes(derived, walk, top, pairs)
+        _spot_check_against_recursion(params, betas, reference)
+    except (NonConvergence, CrossCheckFailure) as exc:
+        # the first order whose error bound (m+1) eps mass passes |value| (no abs() of the
+        # nan value at infinite mass), from the kept pairs; the walk goes on past an overflow
+        orders = enumerate(itertools.islice(itertools.chain(pairs, walk), top + 1))
+        lost = next((m for m, (mass, value) in orders
+                     if mass == math.inf or (m + 1) * _EPS * mass > abs(value)), None)
+        if lost is None:
+            raise
+        raise type(exc)(
+            f"the closed form's Gauss sums 2F1(-m, y; z; 2) hold no correct digit from order "
+            f"{lost}, within the three-term recursion's truncation {top}; "
+            "wavefunction_via_three_term solves this point") from exc
+    return betas, reference, converged
 
 
 def wavefunction_twophoton(params: ModelParams, truncation: int | None = None) -> SteadyWavefunction:
@@ -121,30 +143,12 @@ def wavefunction_twophoton(params: ModelParams, truncation: int | None = None) -
     both absent; refuses two-photon loss without a pump, which has no
     closed form in this family.  Arguments mirror wavefunction_linear.
     The three-term recursion sets the length and decides, as in every
-    route, whether a fixed truncation is too short (CutoffTooSmall); the
-    Gauss sums then fill in that many amplitudes, and each must agree
-    with the recursion's.  Where the closed form refuses
-    (NonConvergence, CrossCheckFailure) and a Gauss sum within the
-    truncation holds no correct digit, the refusal names that order.
+    route, whether a fixed truncation is too short (CutoffTooSmall); each
+    Gauss-sum amplitude must agree with the recursion's.
     """
     if not params.is_two_photon:
         return wavefunction_linear(params, truncation=truncation)
-    # derive_twophoton refuses loss without a pump before the recursion runs
-    derived = derive_twophoton(params)
-    reference, converged = _band_amplitudes(params, truncation)
-    top = len(reference) - 1
-    try:
-        betas = _closed_form_amplitudes(derived, top)
-        _spot_check_against_recursion(params, betas, reference)
-    except (NonConvergence, CrossCheckFailure) as exc:
-        # the refusal names its real cause where that is a Gauss sum's lost digits
-        lost = _lost_order(derived, top)
-        if lost is None:
-            raise
-        raise type(exc)(
-            f"the closed form's Gauss sums 2F1(-m, y; z; 2) hold no correct digit from order "
-            f"{lost}, within the three-term recursion's truncation {top}; "
-            "wavefunction_via_three_term solves this point") from exc
+    betas, _, converged = _closed_form_build(params, truncation)
     return _package(betas, converged)
 
 
@@ -179,10 +183,10 @@ def correlation_twophoton(params: ModelParams, l: int, k: int) -> CorrelationRes
     l, k = _check_moment_orders(l, k)
     if not params.is_two_photon:
         return correlation_linear(params, l, k)
-    wf = wavefunction_twophoton(params)
+    closed, betas, converged = _closed_form_build(params, None)
+    wf = _package(closed, converged)
     value = amplitude_moment(wf, l, k)
 
-    betas, _ = _recursion_amplitudes(params, 0.0, wf.truncation, wf.truncation)
     log_fact = [math.lgamma(m + 1) for m in range(len(betas))]
     phase = [b / abs(b) if b else 0j for b in betas]
     log_f = [math.log(abs(b)) + 0.5 * lf if b else -math.inf for b, lf in zip(betas, log_fact)]

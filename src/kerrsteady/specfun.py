@@ -241,14 +241,6 @@ def _least_mass(forms: list[tuple[float, complex]]) -> tuple[float, complex]:
     return best, sum(tied[1:], tied[0]) / len(tied)
 
 
-def _gauss_sums(y: complex, z: complex, asym: complex | None = None) -> Iterator[complex]:
-    """Yield the terminating Gauss sums 2F1(-m, y; z; 2) for m = 0, 1, 2, ...
-
-    These are the values of _gauss_sum_walk, which documents the sums.
-    """
-    return (value for _, value in _gauss_sum_walk(y, z, asym))
-
-
 def _gauss_sum_walk(
     y: complex, z: complex, asym: complex | None = None
 ) -> Iterator[tuple[float, complex]]:

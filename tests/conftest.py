@@ -16,7 +16,7 @@ import pytest
 from hypothesis import HealthCheck, settings
 
 from kerrsteady.model import ModelParams
-from kerrsteady.specfun import _gauss_sums
+from kerrsteady.specfun import _gauss_sum_walk
 
 DATA_DIR = pathlib.Path(__file__).parent / "data"
 
@@ -36,8 +36,8 @@ def as_complex(pair):
 
 
 def gauss_sum(m, y, z, asym=None):
-    """2F1(-m, y; z; 2): order m of the package's walk over the orders of (y, z)."""
-    return next(itertools.islice(_gauss_sums(y, z, asym), m, None))
+    """2F1(-m, y; z; 2): the value at order m of the package's walk over the orders of (y, z)."""
+    return next(itertools.islice(_gauss_sum_walk(y, z, asym), m, None))[1]
 
 
 def total_photon_mask(cutoffs, top):

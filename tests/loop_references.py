@@ -3,9 +3,10 @@
 These are the per-call loops the package ran before it carried its Gauss
 sums from order to order and summed amplitude moments in one array pass:
 
-* `gauss_sum` sums 2F1(-m, y; z; 2) at one order: it rebuilds (z)_m and
-  the two prefactor ratios from n = 0 and forms each connection-form term
-  from b and zb afresh, and picks the least mass through `min()`;
+* `gauss_sum` sums 2F1(-m, y; z; 2) at one order and returns its least
+  mass with its value: it rebuilds (z)_m and the two prefactor ratios
+  from n = 0 and forms each connection-form term from b and zb afresh,
+  and picks the least mass through `min()`;
 * `gauss_sums` calls it once per order, as the two-photon closed form did;
 * `amplitude_moment` forms every weight with `math.lgamma` and `math.exp`
   and accumulates numpy scalar products one term at a time;
@@ -60,7 +61,7 @@ def _connection_form(m, b, zb, ratio):
 
 
 def gauss_sum(m, y, z, asym=None):
-    """2F1(-m, y; z; 2) with the prefix products rebuilt from n = 0."""
+    """(mass, value) of 2F1(-m, y; z; 2) with the prefix products rebuilt from n = 0."""
     y = _finite_complex("y", y)
     z = _finite_complex("z", z)
     w = z - y
@@ -76,7 +77,7 @@ def gauss_sum(m, y, z, asym=None):
         ratio_y *= (y + n) / zn
         ratio_w *= (w + n) / zn
     if m % 2 and d == 0:
-        return 0j
+        return 0.0, 0j
     sign = -1.0 if m % 2 else 1.0
     forms = [_connection_form(m, y, w, ratio_w)]
     mass, value = _connection_form(m, w, y, ratio_y)
@@ -89,7 +90,7 @@ def gauss_sum(m, y, z, asym=None):
         if m % 2:
             forms.append(_difference_form(m, y, w, z, d))
         mass, value = _least_mass(forms)
-    return value
+    return mass, value
 
 
 def gauss_sums(y, z, asym=None):

@@ -783,7 +783,7 @@ class TestScalarLoopParity:
     def run_both(monkeypatch, capsys, args):
         shipped = (main(args), *capsys.readouterr())
         with monkeypatch.context() as patch:
-            patch.setattr(exact_twophoton, "_gauss_sums", loop_references.gauss_sums)
+            patch.setattr(exact_twophoton, "_gauss_sum_walk", loop_references.gauss_sums)
             patch.setattr(exact_twophoton, "amplitude_moment", loop_references.amplitude_moment)
             patch.setattr(exact_linear, "amplitude_moment", loop_references.amplitude_moment)
             reference = (main(args), *capsys.readouterr())

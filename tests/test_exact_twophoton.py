@@ -14,7 +14,7 @@ import pytest
 from hypothesis import example, given
 from hypothesis import strategies as st
 
-from kerrsteady import exact_linear, exact_twophoton
+from kerrsteady import exact_linear, exact_twophoton, specfun
 from kerrsteady.cli import main
 from kerrsteady.errors import (CrossCheckFailure, CutoffTooSmall, InvalidParams, KerrSteadyError,
                                NonConvergence, UnsupportedModel)
@@ -154,26 +154,26 @@ class TestWavefunctionRoutes:
         # ones, off by 1e-6, must stop the release
         strong = ModelParams(delta_c=-2.0, chi=0.05, omega=1.0, gamma=1.0,
                              lambda_2ph=1.0, kappa=0.02)
-        exact = exact_twophoton._gauss_sums
+        exact = exact_twophoton._gauss_sum_walk
 
         def perturbed(y, z, asym=None):
-            for m, value in enumerate(exact(y, z, asym)):
-                yield value * (1.0 + 1e-6) if m == 40 else value
+            for m, (mass, value) in enumerate(exact(y, z, asym)):
+                yield mass, value * (1.0 + 1e-6) if m == 40 else value
 
-        monkeypatch.setattr(exact_twophoton, "_gauss_sums", perturbed)
+        monkeypatch.setattr(exact_twophoton, "_gauss_sum_walk", perturbed)
         with pytest.raises(CrossCheckFailure, match="amplitude 40 "):
             wavefunction_twophoton(strong)
 
     @pytest.mark.parametrize("huge", [complex(math.inf, 0.0), complex(math.nan, 0.0)],
                              ids=["inf", "nan"])
     def test_overflowing_gauss_sum_refused(self, monkeypatch, twophoton_params, huge):
-        exact = exact_twophoton._gauss_sums
+        exact = exact_twophoton._gauss_sum_walk
 
         def overflowing(y, z, asym=None):
-            for m, value in enumerate(exact(y, z, asym)):
-                yield huge if m == 3 else value
+            for m, (mass, value) in enumerate(exact(y, z, asym)):
+                yield mass, huge if m == 3 else value
 
-        monkeypatch.setattr(exact_twophoton, "_gauss_sums", overflowing)
+        monkeypatch.setattr(exact_twophoton, "_gauss_sum_walk", overflowing)
         with pytest.raises(NonConvergence, match="overflowed at Fock index 3"):
             wavefunction_twophoton(twophoton_params)
 
@@ -220,18 +220,29 @@ class TestWavefunctionRoutes:
         if isinstance(closed, tuple):
             assert closed == recur
 
-    @pytest.mark.parametrize("truncation", [None, 8, 30])
-    def test_one_gauss_walk_and_no_rebuild_per_build(self, monkeypatch, twophoton_params,
-                                                      truncation):
-        # truncation 8 is short of the state but within the norm tolerance
+    @pytest.mark.parametrize("point, call, climbs, refusal", [
+        (TWOPHOTON_POINT, lambda p: wavefunction_twophoton(p).converged, 1, None),
+        (TWOPHOTON_POINT, lambda p: not wavefunction_twophoton(p, truncation=8).converged, 2, None),
+        (TWOPHOTON_POINT, lambda p: wavefunction_twophoton(p, truncation=30).converged, 1, None),
+        (TWOPHOTON_POINT, lambda p: correlation_twophoton(p, 1, 1).truncation == 15, 1, None),
+        (TWOPHOTON_POINT, lambda p: scan_point(p, p.delta_c)[0] > 0.0, 1, None),
+        (LOST_DIGIT_POINTS[0], wavefunction_twophoton, 1, "order 22, within .* truncation 53;"),
+        (LOST_DIGIT_POINTS[1], wavefunction_twophoton, 1, "order 16, within .* truncation 99;"),
+    ], ids=["None", "8", "30", "correlation", "scan-point", "lost-order-22", "lost-order-16"])
+    def test_one_gauss_walk_and_no_rebuild_per_build(self, monkeypatch, point, call, climbs,
+                                                      refusal):
+        # one Gauss-sum walk and one band recursion per call, the refusals' lost
+        # order included; truncation 8 is short of the state but within the norm
+        # tolerance, so the shared short-truncation rule climbs the adaptive
+        # recursion as well (exact_linear._band_amplitudes), as in every route
         walks, in_spot_check, rebuilt = [], [], []
-        gauss_sums = exact_twophoton._gauss_sums
+        walk = exact_twophoton._gauss_sum_walk
         spot_check = exact_twophoton._spot_check_against_recursion
         recursion = exact_linear._recursion_amplitudes
 
-        def counted_sums(*args):
+        def counted_walk(*args):
             walks.append(args)
-            return gauss_sums(*args)
+            return walk(*args)
 
         def flagged_spot_check(*args):
             in_spot_check.append(True)
@@ -244,14 +255,20 @@ class TestWavefunctionRoutes:
             rebuilt.append(bool(in_spot_check))
             return recursion(*args)
 
-        monkeypatch.setattr(exact_twophoton, "_gauss_sums", counted_sums)
         monkeypatch.setattr(exact_twophoton, "_spot_check_against_recursion", flagged_spot_check)
+        # each name wherever it is looked up, so that a walk or climb from any module counts
+        for module in (specfun, exact_twophoton):
+            monkeypatch.setattr(module, "_gauss_sum_walk", counted_walk)
         for module in (exact_linear, exact_twophoton):
             monkeypatch.setattr(module, "_recursion_amplitudes", recorded_recursion)
-        wf = wavefunction_twophoton(twophoton_params, truncation=truncation)
-        assert wf.converged is (truncation != 8)
+        if refusal is None:
+            assert call(point)
+        else:
+            with pytest.raises((CrossCheckFailure, NonConvergence),
+                               match="hold no correct digit from " + refusal):
+                call(point)
         assert len(walks) == 1
-        assert rebuilt and not any(rebuilt)
+        assert len(rebuilt) == climbs and not any(rebuilt)
 
     def test_delegates_to_linear_without_pump_or_loss(self, bistable_params):
         via_two = wavefunction_twophoton(bistable_params)

@@ -1,8 +1,9 @@
 """The amplitude kernels return the bits of their scalar-loop references.
 
-`specfun._gauss_sums` carries its prefactors and term parameters from
-order to order, and `amplitude_moment` sums in one array pass; both must
-agree with the per-call loops in loop_references.py to the last bit,
+`specfun._gauss_sum_walk` carries its prefactors and term parameters
+from order to order, and `amplitude_moment` sums in one array pass; both
+must agree with the per-call loops in loop_references.py to the last bit
+(the walk's least mass as well as its value),
 signed zeros included, and refuse with the same class and message at
 the same order.  The closed forms' inputs, formed from `model.band`, must
 keep the bits of the raw-rate formulas there.  Values are compared
@@ -25,7 +26,7 @@ from kerrsteady.errors import KerrSteadyError
 from kerrsteady.exact_linear import SteadyWavefunction, amplitude_moment, wavefunction_linear
 from kerrsteady.exact_twophoton import wavefunction_twophoton
 from kerrsteady.model import ModelParams, derive_linear, derive_twophoton
-from kerrsteady.specfun import _gauss_sums
+from kerrsteady.specfun import _gauss_sum_walk
 
 from conftest import DATA_DIR
 
@@ -37,7 +38,7 @@ STRONG_PUMP = ModelParams(delta_c=-2.0, chi=0.05, omega=1.0, gamma=1.0,
 
 
 def outcome(call):
-    """The bytes of call()'s value, or the class and message of its refusal."""
+    """The bytes of call()'s value or (mass, value), or the class and message of its refusal."""
     try:
         return np.array([call()], dtype=complex).tobytes()
     except KerrSteadyError as exc:
@@ -56,7 +57,7 @@ def walk(sums, count):
 
 
 def assert_walks_agree(y, z, asym, last):
-    got = walk(_gauss_sums(y, z, asym), last + 1)
+    got = walk(_gauss_sum_walk(y, z, asym), last + 1)
     want = walk(ref.gauss_sums(y, z, asym), last + 1)
     assert got == want
 
@@ -102,10 +103,10 @@ def test_random_parameter_walks():
 def test_single_order_matches_walk_after_odd_zero():
     # y = z/2 exactly: every odd order is the exact zero, without a sum
     z = -2.3 + 0.4j
-    values = list(itertools.islice(_gauss_sums(z / 2, z), 12))
-    assert all(v == 0j for v in values[1::2])
-    for m, value in enumerate(values):
-        assert outcome(lambda: value) == outcome(lambda: ref.gauss_sum(m, z / 2, z))
+    pairs = list(itertools.islice(_gauss_sum_walk(z / 2, z), 12))
+    assert all(pair == (0.0, 0j) for pair in pairs[1::2])
+    for m, pair in enumerate(pairs):
+        assert outcome(lambda: pair) == outcome(lambda: ref.gauss_sum(m, z / 2, z))
 
 
 def magnitudes(low, high):
