@@ -4,7 +4,7 @@ The steady state is the quantum-mode vacuum of the doubled-space
 generator (keldysh_ops), whose raising part maps q=0 into q=1 through a
 band.  model.band gives its coefficients (c0, c1, d, p), and forward
 substitution through it is the package's one amplitude recursion,
-_recursion_amplitudes, defined here:
+_band_step, climbed by _ladder, both defined here:
 
     sqrt(m) [c0 + c1 (m - 1)] beta_m = d beta_{m-1} - p sqrt(m - 1) beta_{m-2},
 
@@ -104,46 +104,67 @@ class CorrelationResult:
 def _ladder(
     step: Callable[[int, list[complex]], complex],
     tail_tol: float,
-    max_truncation: int,
+    max_truncation: int | None,
     truncation: int | None,
-) -> tuple[list[complex], bool]:
+) -> tuple[list[complex], bool, int | None]:
     """Climb the Fock ladder from beta_0 = 1 with beta_m = step(m, betas).
 
-    Its one production caller is _recursion_amplitudes, whose step is the
-    band recursion; the step is an argument so that the tests can drive
-    the rule with a synthetic sequence.  Adaptively (truncation None) the
-    climb stops when the tail rule fires and raises NonConvergence past
-    max_truncation; with a fixed truncation it computes exactly that many
-    levels and reports whether the rule held there.  Either way, a
-    squared-amplitude sum past the double range raises NonConvergence
-    naming the Fock index where it ran out.  The rule is
-    specfun._tail_run, the predicate the 0F2 series stop by as well:
-    _TAIL_RUN squared amplitudes in a row, each at most tail_tol of the
-    sum so far.  A proven tail bound would replace that predicate.
+    Its production step is the band recursion (_band_step); the step is
+    an argument so that the tests can drive the rule with a synthetic
+    sequence.  The rule is specfun._tail_run, the predicate the 0F2
+    series stop by as well: _TAIL_RUN squared amplitudes in a row, each
+    at most tail_tol of the sum so far.  A proven tail bound would
+    replace that predicate.  Returns (betas, converged, end), end the
+    level where the rule first holds: where the adaptive climb stops.
+
+    Adaptively (truncation None) the climb stops at end and raises
+    NonConvergence past max_truncation.  With a fixed truncation it
+    computes that many levels, and converged reports whether the rule
+    holds at the last one.  Where it does not, the climb goes on past
+    the truncation until the rule first holds, as the adaptive climb
+    would, so that one climb yields the truncation's levels,
+    betas[:truncation + 1], and the adaptive climb's, betas[:end + 1];
+    it raises NonConvergence as the adaptive climb does if the rule has
+    not held by max_truncation.  With max_truncation None a fixed
+    truncation's climb ends at the truncation, and end is None if the
+    rule has not held by then.  Either way, a squared-amplitude sum past
+    the double range raises NonConvergence naming the Fock index where it
+    ran out.
     """
     if truncation is not None:
         truncation = _check_fock_size("truncation", truncation, 0)
     betas = [complex(1.0)]
     total = 1.0
     run = 0
-    limit = max_truncation if truncation is None else truncation
-    for m in range(1, limit + 1):
-        betas.append(step(m, betas))
-        try:
-            w = abs(betas[-1]) ** 2
-        except OverflowError:
-            w = math.inf
-        total += w
-        if not total < math.inf:  # nan too
-            raise NonConvergence(f"amplitude weight leaves the double range at Fock index {m}")
-        run = _tail_run(run, w, total, tail_tol)
-        if truncation is None and run >= _TAIL_RUN:
-            return betas, True
-    if truncation is None:
-        raise NonConvergence(
-            f"amplitude tail not negligible by Fock index {max_truncation}"
-        )
-    return betas, run >= _TAIL_RUN
+    end = None
+
+    def climb(last: int, to_end: bool) -> None:
+        nonlocal total, run, end
+        for m in range(len(betas), last + 1):
+            betas.append(step(m, betas))
+            try:
+                w = abs(betas[-1]) ** 2
+            except OverflowError:
+                w = math.inf
+            total += w
+            if not total < math.inf:  # nan too
+                raise NonConvergence(f"amplitude weight leaves the double range at Fock index {m}")
+            run = _tail_run(run, w, total, tail_tol)
+            if end is None and run >= _TAIL_RUN:
+                end = m
+                if to_end:
+                    return
+
+    if truncation is not None:
+        climb(truncation, False)
+        converged = run >= _TAIL_RUN
+        if converged or max_truncation is None:
+            return betas, converged, end
+    if end is None:
+        climb(max_truncation, True)
+    if end is None or end > max_truncation:
+        raise NonConvergence(f"amplitude tail not negligible by Fock index {max_truncation}")
+    return betas, truncation is None, end
 
 
 def _drive_argument(epsilon: complex) -> float:
@@ -158,13 +179,8 @@ def _drive_argument(epsilon: complex) -> float:
     return w
 
 
-def _recursion_amplitudes(
-    params: ModelParams,
-    tail_tol: float,
-    max_truncation: int,
-    truncation: int | None,
-) -> tuple[list[complex], bool]:
-    """Unnormalized amplitudes by forward substitution through model.band."""
+def _band_step(params: ModelParams) -> Callable[[int, list[complex]], complex]:
+    """The ladder step of forward substitution through model.band."""
     b = band(params)
     c0, c1, drive, pump = b.c0, b.c1, b.d, b.p
     scale0, scale1 = abs(c0), abs(c1)
@@ -181,7 +197,24 @@ def _recursion_amplitudes(
             rhs -= pump * math.sqrt(m - 1.0) * betas[m - 2]
         return rhs / (math.sqrt(float(m)) * coeff)
 
-    return _ladder(step, tail_tol, max_truncation, truncation)
+    return step
+
+
+def _recursion_amplitudes(
+    params: ModelParams,
+    tail_tol: float,
+    max_truncation: int,
+    truncation: int | None,
+) -> tuple[list[complex], bool]:
+    """Unnormalized amplitudes by forward substitution through model.band, and converged.
+
+    Adaptive, or exactly truncation + 1 levels with a fixed truncation
+    (max_truncation then unused); perfbench/tracing.py and the tests
+    climb through it.  The package's routes climb in _band_amplitudes.
+    """
+    betas, converged, _ = _ladder(_band_step(params), tail_tol,
+                                  max_truncation if truncation is None else None, truncation)
+    return betas, converged
 
 
 def _package(betas: list[complex], converged: bool) -> SteadyWavefunction:
@@ -203,18 +236,22 @@ def _band_amplitudes(params: ModelParams, truncation: int | None) -> tuple[list[
     Every amplitude route starts here, so the recursion alone decides
     where a sequence ends.  A fixed truncation that ends before the tail
     rule holds, and whose squared sum misses the adaptive build's by more
-    than _NORM_XCHECK_TOL relative, raises CutoffTooSmall.
+    than _NORM_XCHECK_TOL relative, raises CutoffTooSmall.  One climb
+    gives both builds (_ladder).
     """
-    betas, converged = _recursion_amplitudes(params, _TAIL_TOL, _MAX_TRUNCATION, truncation)
-    if truncation is not None and not converged:
-        norm = _package(betas, converged).norm_constant
-        full = _package(*_recursion_amplitudes(params, _TAIL_TOL, _MAX_TRUNCATION, None))
-        if not math.isclose(norm, full.norm_constant, rel_tol=_NORM_XCHECK_TOL):
+    betas, converged, end = _ladder(_band_step(params), _TAIL_TOL, _MAX_TRUNCATION, truncation)
+    if truncation is None:
+        return betas, converged
+    fixed = betas[:truncation + 1]
+    if not converged:
+        norm = _package(fixed, converged).norm_constant
+        full = _package(betas[:end + 1], True).norm_constant
+        if not math.isclose(norm, full, rel_tol=_NORM_XCHECK_TOL):
             raise CutoffTooSmall(
-                f"truncation {len(betas) - 1} is too small for this state: its amplitudes "
+                f"truncation {truncation} is too small for this state: its amplitudes "
                 f"have not died out there, and their squared sum {norm!r} misses the "
-                f"adaptive build's {full.norm_constant!r}")
-    return betas, converged
+                f"adaptive build's {full!r}")
+    return fixed, converged
 
 
 def _release_moment(

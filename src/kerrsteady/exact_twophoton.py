@@ -58,12 +58,16 @@ def _closed_form_amplitudes(derived: TwoPhotonDerived, walk: Iterator[tuple[floa
                             truncation: int, pairs: list[tuple[float, complex]]) -> list[complex]:
     """Unnormalized amplitudes from the polynomial closed form, to Fock index truncation.
 
-    pairs keeps each (mass, value) taken from walk, a fresh Gauss-sum
-    walk.  The running prefactor (-lambda_disp)^m / sqrt(m!) decays fast
-    enough that the product stays bounded, but the bare polynomial value
-    can overflow once the index reaches several hundred; that surfaces
-    as a NonConvergence pointing at the recursion route, which has
-    reached this index within its own ceiling (exact_linear._ladder).
+    walk is a fresh Gauss-sum walk to order truncation, so that its
+    numpy blocks (specfun._connection_blocks, from order 24 on) sum no
+    order past it; pairs keeps each (mass, value) taken from it.  The
+    walk is read order by order: an overflow stops the build at its
+    index, and the blocks have then summed at most one chunk of steps
+    past it.  The running prefactor (-lambda_disp)^m / sqrt(m!) decays
+    fast enough that the product stays bounded, but the bare polynomial
+    value can overflow once the index reaches several hundred; that
+    surfaces as a NonConvergence pointing at the recursion route, which
+    has reached this index within its own ceiling (exact_linear._ladder).
     """
     lam = derived.lambda_disp
     # order 0 is beta_0 = 1
@@ -108,15 +112,17 @@ def _closed_form_build(params: ModelParams,
                        truncation: int | None) -> tuple[list[complex], list[complex], bool]:
     """The closed form's amplitudes, the recursion's (reference) and converged.
 
-    One band recursion sets the length, and one Gauss-sum walk fills it.
-    Where the closed form refuses and a Gauss sum within the truncation
-    holds no correct digit, the refusal names the first such order.
+    One band recursion sets the length, and one Gauss-sum walk to that
+    length fills it.  Where the closed form refuses and a Gauss sum
+    within the truncation holds no correct digit, the refusal names the
+    first such order, read from the kept pairs and then from the rest of
+    the walk, which stops there.
     """
     # derive_twophoton refuses loss without a pump before the recursion runs
     derived = derive_twophoton(params)
     reference, converged = _band_amplitudes(params, truncation)
     top = len(reference) - 1
-    walk = _gauss_sum_walk(derived.y, derived.z, derived.asym)
+    walk = _gauss_sum_walk(derived.y, derived.z, derived.asym, top=top)
     pairs: list[tuple[float, complex]] = []
     try:
         betas = _closed_form_amplitudes(derived, walk, top, pairs)

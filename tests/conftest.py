@@ -37,7 +37,7 @@ def as_complex(pair):
 
 def gauss_sum(m, y, z, asym=None):
     """2F1(-m, y; z; 2): the value at order m of the package's walk over the orders of (y, z)."""
-    return next(itertools.islice(_gauss_sum_walk(y, z, asym), m, None))[1]
+    return next(itertools.islice(_gauss_sum_walk(y, z, asym, top=m), m, None))[1]
 
 
 def total_photon_mask(cutoffs, top):

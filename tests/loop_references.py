@@ -20,7 +20,6 @@ not change, so they are imported, not copied.
 """
 
 import cmath
-import itertools
 import math
 
 import numpy as np
@@ -93,9 +92,9 @@ def gauss_sum(m, y, z, asym=None):
     return mass, value
 
 
-def gauss_sums(y, z, asym=None):
-    """The package's order-by-order walk, one scalar call per order."""
-    for m in itertools.count():
+def gauss_sums(y, z, asym=None, *, top):
+    """The package's order-by-order walk to order top, one scalar call per order."""
+    for m in range(top + 1):
         yield gauss_sum(m, y, z, asym)
 
 

@@ -162,9 +162,16 @@ class TestTailRule:
 
     BETAS = [1.0, 2.0, 2.0, 1.5, 3.5, 100.0]
 
-    def climb(self, truncation):
-        return exact_linear._ladder(
-            lambda m, betas: complex(self.BETAS[m - 1]), 0.5, len(self.BETAS), truncation)
+    def climb(self, truncation, max_truncation=len(BETAS)):
+        steps = []
+
+        def step(m, betas):
+            steps.append(m)
+            return complex(self.BETAS[m - 1])
+
+        out = exact_linear._ladder(step, 0.5, max_truncation, truncation)
+        assert steps == list(range(1, len(out[0])))  # one climb
+        return out
 
     def test_fires_at_the_third_small_level_after_a_rise(self, monkeypatch):
         runs, tail_run = [], exact_linear._tail_run
@@ -174,15 +181,30 @@ class TestTailRule:
             return runs[-1]
 
         monkeypatch.setattr(exact_linear, "_tail_run", recording)
-        betas, converged = self.climb(None)
-        assert converged and len(betas) == 6
+        betas, converged, end = self.climb(None)
+        assert converged and len(betas) == 6 and end == 5
         assert runs == [1, 0, 1, 2, 3]
 
     @pytest.mark.parametrize("truncation, converged", [(4, False), (5, True), (6, False)])
     def test_fixed_truncation_reports_the_run_at_its_end(self, truncation, converged):
-        betas, flag = self.climb(truncation)
+        betas, flag, end = self.climb(truncation, None)
         assert len(betas) == truncation + 1
         assert flag is converged
+        assert end == (None if truncation < 5 else 5)
+
+    @pytest.mark.parametrize("truncation, levels, converged", [
+        (3, 6, False), (4, 6, False), (5, 6, True), (6, 7, False)])
+    def test_short_truncation_climbs_on_to_the_adaptive_end(self, truncation, levels, converged):
+        # where the rule does not hold at the truncation, the same climb goes
+        # on until it first holds (level 5), unless it held below the truncation
+        betas, flag, end = self.climb(truncation)
+        assert len(betas) == levels and flag is converged and end == 5
+
+    @pytest.mark.parametrize("truncation", [3, 6])
+    def test_adaptive_end_past_the_cap_refused(self, truncation):
+        # the rule first holds at level 5, past a cap of 4, as in the adaptive climb
+        with pytest.raises(NonConvergence, match="not negligible by Fock index 4"):
+            self.climb(truncation, 4)
 
 
 class TestNormCheckRefusals:
@@ -206,14 +228,14 @@ class TestNormCheckRefusals:
             wavefunction_linear(deep, truncation=60)
 
     def test_perturbed_ladder(self, bistable_params, monkeypatch):
-        recursion = exact_linear._recursion_amplitudes
+        ladder = exact_linear._ladder
 
         def perturbed(*args):
-            betas, converged = recursion(*args)
+            betas, converged, end = ladder(*args)
             betas[1] *= 1.01
-            return betas, converged
+            return betas, converged, end
 
-        monkeypatch.setattr(exact_linear, "_recursion_amplitudes", perturbed)
+        monkeypatch.setattr(exact_linear, "_ladder", perturbed)
         with pytest.raises(CrossCheckFailure, match="normalization mismatch"):
             wavefunction_linear(bistable_params)
 

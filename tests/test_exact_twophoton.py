@@ -8,6 +8,7 @@ scale, and against the Lindblad oracle.
 
 import cmath
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -156,8 +157,8 @@ class TestWavefunctionRoutes:
                              lambda_2ph=1.0, kappa=0.02)
         exact = exact_twophoton._gauss_sum_walk
 
-        def perturbed(y, z, asym=None):
-            for m, (mass, value) in enumerate(exact(y, z, asym)):
+        def perturbed(y, z, asym=None, *, top):
+            for m, (mass, value) in enumerate(exact(y, z, asym, top=top)):
                 yield mass, value * (1.0 + 1e-6) if m == 40 else value
 
         monkeypatch.setattr(exact_twophoton, "_gauss_sum_walk", perturbed)
@@ -169,8 +170,8 @@ class TestWavefunctionRoutes:
     def test_overflowing_gauss_sum_refused(self, monkeypatch, twophoton_params, huge):
         exact = exact_twophoton._gauss_sum_walk
 
-        def overflowing(y, z, asym=None):
-            for m, (mass, value) in enumerate(exact(y, z, asym)):
+        def overflowing(y, z, asym=None, *, top):
+            for m, (mass, value) in enumerate(exact(y, z, asym, top=top)):
                 yield mass, huge if m == 3 else value
 
         monkeypatch.setattr(exact_twophoton, "_gauss_sum_walk", overflowing)
@@ -220,29 +221,31 @@ class TestWavefunctionRoutes:
         if isinstance(closed, tuple):
             assert closed == recur
 
-    @pytest.mark.parametrize("point, call, climbs, refusal", [
-        (TWOPHOTON_POINT, lambda p: wavefunction_twophoton(p).converged, 1, None),
-        (TWOPHOTON_POINT, lambda p: not wavefunction_twophoton(p, truncation=8).converged, 2, None),
-        (TWOPHOTON_POINT, lambda p: wavefunction_twophoton(p, truncation=30).converged, 1, None),
-        (TWOPHOTON_POINT, lambda p: correlation_twophoton(p, 1, 1).truncation == 15, 1, None),
-        (TWOPHOTON_POINT, lambda p: scan_point(p, p.delta_c)[0] > 0.0, 1, None),
-        (LOST_DIGIT_POINTS[0], wavefunction_twophoton, 1, "order 22, within .* truncation 53;"),
-        (LOST_DIGIT_POINTS[1], wavefunction_twophoton, 1, "order 16, within .* truncation 99;"),
+    @pytest.mark.parametrize("point, call, top, refusal", [
+        (TWOPHOTON_POINT, lambda p: wavefunction_twophoton(p).converged, 15, None),
+        (TWOPHOTON_POINT, lambda p: not wavefunction_twophoton(p, truncation=8).converged, 8,
+         None),
+        (TWOPHOTON_POINT, lambda p: wavefunction_twophoton(p, truncation=30).converged, 30, None),
+        (TWOPHOTON_POINT, lambda p: correlation_twophoton(p, 1, 1).truncation == 15, 15, None),
+        (TWOPHOTON_POINT, lambda p: scan_point(p, p.delta_c)[0] > 0.0, 15, None),
+        (LOST_DIGIT_POINTS[0], wavefunction_twophoton, 53, "order 22, within .* truncation 53;"),
+        (LOST_DIGIT_POINTS[1], wavefunction_twophoton, 99, "order 16, within .* truncation 99;"),
     ], ids=["None", "8", "30", "correlation", "scan-point", "lost-order-22", "lost-order-16"])
-    def test_one_gauss_walk_and_no_rebuild_per_build(self, monkeypatch, point, call, climbs,
+    def test_one_gauss_walk_and_no_rebuild_per_build(self, monkeypatch, point, call, top,
                                                       refusal):
-        # one Gauss-sum walk and one band recursion per call, the refusals' lost
-        # order included; truncation 8 is short of the state but within the norm
-        # tolerance, so the shared short-truncation rule climbs the adaptive
-        # recursion as well (exact_linear._band_amplitudes), as in every route
-        walks, in_spot_check, rebuilt = [], [], []
+        # one Gauss-sum walk, to the recursion's truncation, and one climb of the
+        # band recursion per call, the refusals' lost order included; truncation
+        # 8 is short of the state but within the norm tolerance, so the climb
+        # goes on to the adaptive build's end for the shared short-truncation
+        # rule (exact_linear._band_amplitudes), as in every route
+        walks, in_spot_check, climbs = [], [], []
         walk = exact_twophoton._gauss_sum_walk
         spot_check = exact_twophoton._spot_check_against_recursion
-        recursion = exact_linear._recursion_amplitudes
+        ladder = exact_linear._ladder
 
-        def counted_walk(*args):
-            walks.append(args)
-            return walk(*args)
+        def counted_walk(*args, top):
+            walks.append(top)
+            return walk(*args, top=top)
 
         def flagged_spot_check(*args):
             in_spot_check.append(True)
@@ -251,24 +254,51 @@ class TestWavefunctionRoutes:
             finally:
                 in_spot_check.pop()
 
-        def recorded_recursion(*args):
-            rebuilt.append(bool(in_spot_check))
-            return recursion(*args)
+        def recorded_climb(*args):
+            climbs.append(bool(in_spot_check))
+            return ladder(*args)
 
         monkeypatch.setattr(exact_twophoton, "_spot_check_against_recursion", flagged_spot_check)
         # each name wherever it is looked up, so that a walk or climb from any module counts
         for module in (specfun, exact_twophoton):
             monkeypatch.setattr(module, "_gauss_sum_walk", counted_walk)
-        for module in (exact_linear, exact_twophoton):
-            monkeypatch.setattr(module, "_recursion_amplitudes", recorded_recursion)
+        monkeypatch.setattr(exact_linear, "_ladder", recorded_climb)
         if refusal is None:
             assert call(point)
         else:
             with pytest.raises((CrossCheckFailure, NonConvergence),
                                match="hold no correct digit from " + refusal):
                 call(point)
-        assert len(walks) == 1
-        assert len(rebuilt) == climbs and not any(rebuilt)
+        assert walks == [top]
+        assert climbs == [False]
+
+    def test_block_memory_stays_linear_in_the_truncation(self, monkeypatch):
+        # a build to truncation 2000 sums the connection forms of orders 24 to
+        # 2000 in numpy blocks (specfun._connection_blocks); every step of that
+        # kernel, traced by tracemalloc, holds O(top) running sums and one
+        # chunk of steps, not the factor triangle of all orders (over 100 MB).
+        # Only the kernel is traced: tracing the scalar fallback forms, which
+        # sum every order from about 260 on here, takes minutes.
+        peaks = []
+        blocks = specfun._connection_blocks
+
+        def traced(*args):
+            sums = blocks(*args)
+            while True:
+                tracemalloc.start()
+                try:
+                    pair = next(sums)
+                except StopIteration:
+                    return
+                finally:
+                    peaks.append(tracemalloc.get_traced_memory()[1])
+                    tracemalloc.stop()
+                yield pair
+
+        monkeypatch.setattr(specfun, "_connection_blocks", traced)
+        assert wavefunction_twophoton(TWOPHOTON_POINT, truncation=2000).converged
+        assert len(peaks) == 2000 - specfun._BLOCK_FROM + 1
+        assert max(peaks) < 4e6
 
     def test_delegates_to_linear_without_pump_or_loss(self, bistable_params):
         via_two = wavefunction_twophoton(bistable_params)

@@ -1,9 +1,10 @@
 """The amplitude kernels return the bits of their scalar-loop references.
 
 `specfun._gauss_sum_walk` carries its prefactors and term parameters
-from order to order, and `amplitude_moment` sums in one array pass; both
-must agree with the per-call loops in loop_references.py to the last bit
-(the walk's least mass as well as its value),
+from order to order and sums its higher orders in numpy blocks, and
+`amplitude_moment` sums in one array pass; both must agree with the
+per-call loops in loop_references.py to the last bit (the walk's least
+mass as well as its value),
 signed zeros included, and refuse with the same class and message at
 the same order.  The closed forms' inputs, formed from `model.band`, must
 keep the bits of the raw-rate formulas there.  Values are compared
@@ -12,7 +13,6 @@ carry the `bitwise` mark, which CI runs a second time with numpy's
 dispatched CPU targets disabled.
 """
 
-import itertools
 import json
 import random
 
@@ -22,6 +22,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import loop_references as ref
+from kerrsteady import specfun
 from kerrsteady.errors import KerrSteadyError
 from kerrsteady.exact_linear import SteadyWavefunction, amplitude_moment, wavefunction_linear
 from kerrsteady.exact_twophoton import wavefunction_twophoton
@@ -57,8 +58,8 @@ def walk(sums, count):
 
 
 def assert_walks_agree(y, z, asym, last):
-    got = walk(_gauss_sum_walk(y, z, asym), last + 1)
-    want = walk(ref.gauss_sums(y, z, asym), last + 1)
+    got = walk(_gauss_sum_walk(y, z, asym, top=last), last + 1)
+    want = walk(ref.gauss_sums(y, z, asym, top=last), last + 1)
     assert got == want
 
 
@@ -92,6 +93,72 @@ def test_strong_pump_walk():
     assert_walks_agree(d.y, d.z, d.asym, 330)
 
 
+# A walk to specfun._BLOCK_TOP = 44 or further sums orders below
+# _BLOCK_FROM = 24 in a scalar loop and the rest in numpy blocks, whose
+# chunks of steps end where _BLOCK_FLOATS and top put them; these tops sit
+# on both sides of the top that switches the blocks on, walks from 44 on
+# cross order 24, and 101 and 180 run several chunks.
+@pytest.mark.parametrize("top", [23, 43, 44, 45, 101])
+@pytest.mark.parametrize("omega", [1.0, 0.0], ids=["strong-pump", "undriven-twin"])
+def test_strong_pump_walks_across_the_switch(omega, top):
+    # the strong pump falls back to the argument-2 and difference forms at
+    # orders 14 to 33, on both sides of the switch; its omega = 0 twin has
+    # d = 0, so its odd orders are exact zeros without a sum
+    d = derive_twophoton(STRONG_PUMP.replace(omega=omega))
+    assert_walks_agree(d.y, d.z, d.asym, top)
+
+
+@pytest.mark.parametrize("top", [43, 44, 60, 180])
+@pytest.mark.parametrize("omega", [0.1, 0.0])
+def test_readme_point_walks_across_the_switch(omega, top):
+    d = derive_twophoton(ModelParams(delta_c=-1.0, omega=omega, **PAIR))
+    assert_walks_agree(d.y, d.z, d.asym, top)
+
+
+@pytest.mark.parametrize("y, z", [
+    # w = z - y = -30 exactly: the connection form at b = y divides by zero
+    # from order 31 on, where the pole guard skips it; then within the guard
+    (complex(30.5, 0.3), complex(0.5, 0.3)),
+    (complex(30.5, 0.3 - 1e-13), complex(0.5, 0.3)),
+    # y = z beside the pole at -40: both connection forms skipped past order 40
+    (complex(-40.0, 1e-13), complex(-40.0, 1e-13)),
+    # the terms at b = y pass the double range, those at b = w underflow
+    (complex(1e200, 1.0), complex(1e200, 1.5)),
+    # real parameters, one with -0.0 imaginary parts
+    (complex(-1.5, -0.0), complex(2.25, -0.0)),
+    (complex(0.75, 0.0), complex(-3.5, 0.0)),
+], ids=["pole", "pole-guard", "collapse", "overflow", "signed-zero", "real"])
+def test_edge_walks_in_blocks(y, z):
+    assert_walks_agree(y, z, None, 60)
+
+
+def test_pole_in_z_refused_inside_a_block():
+    # (z)_31 vanishes at z = -30: orders 24 to 30 come from the first chunk of
+    # the blocks, and order 31 is refused with the scalar walk's message
+    got = walk(_gauss_sum_walk(0.3 + 0.2j, -30.0, top=60), 61)
+    assert got == walk(ref.gauss_sums(0.3 + 0.2j, -30.0, top=60), 61)
+    assert got[-1] == ("DenominatorPole", "Gauss sum 2F1(-31, y; z; 2): (z)_31 vanished or "
+                       "underflowed for z=(-30+0j)")
+
+
+def test_blocks_run_when_an_order_is_due(monkeypatch):
+    # a caller that stops at order 60 of a walk to 400 pays for the chunks of
+    # steps up to 60 and at most one chunk past it
+    ends = []
+    factors = specfun._connection_factors
+
+    def recorded(done, steps, *args):
+        ends.append(done + steps)
+        return factors(done, steps, *args)
+
+    monkeypatch.setattr(specfun, "_connection_factors", recorded)
+    d = derive_twophoton(STRONG_PUMP)
+    pairs = _gauss_sum_walk(d.y, d.z, d.asym, top=400)
+    for _ in range(61):
+        next(pairs)
+    assert ends[-1] >= 60 > ends[-2]
+
+
 def test_random_parameter_walks():
     rng = random.Random(20)
     for _ in range(300):
@@ -103,7 +170,7 @@ def test_random_parameter_walks():
 def test_single_order_matches_walk_after_odd_zero():
     # y = z/2 exactly: every odd order is the exact zero, without a sum
     z = -2.3 + 0.4j
-    pairs = list(itertools.islice(_gauss_sum_walk(z / 2, z), 12))
+    pairs = list(_gauss_sum_walk(z / 2, z, top=11))
     assert all(pair == (0.0, 0j) for pair in pairs[1::2])
     for m, pair in enumerate(pairs):
         assert outcome(lambda: pair) == outcome(lambda: ref.gauss_sum(m, z / 2, z))

@@ -243,12 +243,28 @@ class TestGaussSums:
     def test_pole_refusal_ends_the_walk(self):
         # (z)_3 = z (z+1) (z+2) vanishes at z = -2: orders 0 to 2 are
         # yielded, order 3 is refused, and nothing follows
-        sums = _gauss_sum_walk(1.0, -2.0)
+        sums = _gauss_sum_walk(1.0, -2.0, top=5)
         assert [next(sums)[1] for _ in range(3)] == [1.0, 2.0, 7.0]
         with pytest.raises(DenominatorPole, match=r"\(z\)_3 vanished or underflowed"):
             next(sums)
         with pytest.raises(StopIteration):
             next(sums)
+
+    @pytest.mark.parametrize("top, asym, orders", [
+        (43, None, range(0)), (44, None, range(24, 45)), (101, 0.0, range(24, 102, 2))])
+    def test_block_orders(self, monkeypatch, top, asym, orders):
+        # the numpy blocks sum orders from 24 on in walks to 44 or further, and
+        # at d = 2 asym = 0 only the even ones: the odd ones are exact zeros
+        seen = []
+        kernel = specfun._connection_blocks
+
+        def recorded(y, w, orders):
+            seen.append(orders)
+            return kernel(y, w, orders)
+
+        monkeypatch.setattr(specfun, "_connection_blocks", recorded)
+        pairs = list(_gauss_sum_walk(0.3 + 0.2j, 1.5 - 0.5j, asym, top=top))
+        assert seen == [orders] and len(pairs) == top + 1
 
     def test_gauss_sums_within_bound_of_references(self):
         """Every value within its error bound of a 60-digit reference.
@@ -277,7 +293,7 @@ class TestGaussSums:
             y = complex(*map(float.fromhex, case["y"]))
             z = complex(*map(float.fromhex, case["z"]))
             # one walk per case; a refusal ends it, so later orders refuse too
-            sums = (value for _, value in _gauss_sum_walk(y, z))
+            sums = (value for _, value in _gauss_sum_walk(y, z, top=case["m_to"]))
             got = None
             for m in range(case["m_to"] + 1):
                 if not isinstance(got, str):
@@ -304,7 +320,7 @@ class TestGaussSums:
     [
         lambda: pochhammer(complex(math.inf, 0.0), 3),
         lambda: hyp0f2_ratio(1.0, 2.0, 1.5, math.inf, 1.0),
-        lambda: next(_gauss_sum_walk(0.5, 2.0, complex(0.0, math.inf))),
+        lambda: next(_gauss_sum_walk(0.5, 2.0, complex(0.0, math.inf), top=0)),
     ],
     ids=["pochhammer", "hyp0f2_ratio", "gauss_sums_asym"],
 )
@@ -320,9 +336,9 @@ def test_rejects_nonfinite_arguments(call):
         lambda: pochhammer(True, 3),
         lambda: hyp0f2_ratio("1", 1, 1, 1, 0.5),
         lambda: hyp0f2_ratio(2.0, 1.0, 1.0, 1.0, False),
-        lambda: next(_gauss_sum_walk("0.5", 1.5)),
-        lambda: next(_gauss_sum_walk(0.5, True)),
-        lambda: next(_gauss_sum_walk(0.5, 1.5, asym=True)),
+        lambda: next(_gauss_sum_walk("0.5", 1.5, top=0)),
+        lambda: next(_gauss_sum_walk(0.5, True, top=0)),
+        lambda: next(_gauss_sum_walk(0.5, 1.5, asym=True, top=0)),
     ],
     ids=["pochhammer-str", "pochhammer-bool", "hyp0f2_ratio-str", "hyp0f2_ratio-bool",
          "gauss_sums-str", "gauss_sums-bool", "gauss_sums-asym-bool"],
